@@ -81,7 +81,7 @@ def _info(args, text: str) -> None:
         print(text, file=sys.stderr)
 
 
-def _emit(args, payload: dict, out: str | None = None, kind: str | None = None) -> None:
+def _emit(args, payload: dict, out: str | None = None) -> None:
     print(dumps(payload))
     if out:
         Path(out).write_text(json.dumps(payload) + "\n")
@@ -119,18 +119,6 @@ def _cmd_mub_witness(args) -> int:
     fam = mub_family(args.d, args.L)
     w = mub_witness(fam, RotationSet.identity(args.d, args.L))
     _emit(args, matrix_payload(w.dims, w.mat, kind="witness"), out=args.out)
-    return 0
-
-
-def _cmd_spin_bound(args) -> int:
-    rho = load_state(args.state)
-    if rho.dims[0] != rho.dims[1]:
-        raise InvariantViolation(
-            f"dims: the variance witness requires equal local dimensions, got {rho.dims}"
-        )
-    cert = spin_bound(rho, gellmann(rho.dims[0]))
-    _info(args, f"certified={cert.certified} dsep_lower={cert.dsep_lower:.6g}")
-    _emit(args, _certificate_payload(cert))
     return 0
 
 
@@ -206,9 +194,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_mub_witness)
 
-    p = sub.add_parser("spin-bound", parents=[common], help="collective-variance bound certificate")
+    p = sub.add_parser("spin-bound", parents=[common], help="alias of bound --spin")
     p.add_argument("--state", required=True)
-    p.set_defaults(func=_cmd_spin_bound)
+    p.set_defaults(func=_cmd_bound, spin=True, witness_file=None, mub=None)
 
     p = sub.add_parser("pure", parents=[common], help="Schmidt data and dephasing distance of a rank-1 state")
     p.add_argument("--state", required=True)

@@ -16,7 +16,6 @@ class Tolerances:
     trace: float = 1e-10         # |Tr(rho) - 1| admitted for states
     psd: float = 1e-10           # eigenvalues >= -psd count as positive
     unit_norm: float = 1e-10     # | ||v|| - 1 | admitted for state vectors
-    residual: float = 1e-9       # relative residual promised by eig/svd
 
 
 TOLS = Tolerances()

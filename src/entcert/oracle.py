@@ -2,10 +2,11 @@
 
 ``ppt_check`` tests positivity of the partial transpose.  ``dsep_upper``
 numerically minimizes || rho - sum_i p_i |a_i b_i><a_i b_i| ||_F over
-explicit product ensembles by alternating a simplex-constrained weight
-solve with local product-vector improvement.  Whatever the optimizer
-reaches, the returned value is a distance to an explicitly separable
-state, hence always a valid upper bound on the true distance.
+explicit product ensembles with fully-corrective Frank-Wolfe (Gilbert's
+algorithm): product states aligned with the residual join the ensemble
+and a simplex-constrained solve re-fits all weights.  Whatever the
+optimizer reaches, the returned value is a distance to an explicitly
+separable state, hence always a valid upper bound on the true distance.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import numpy as np
 from .config import TOLS
 from .errors import InvariantViolation
 from .linalg import hermitian_eig, partial_transpose
-from .states import DensityMatrix
+from .states import DensityMatrix, matrix_payload
 
 _WEIGHT_FLOOR = 1e-14
-_POLISH_ROUNDS = 100
 
 
 def ppt_check(rho: DensityMatrix) -> tuple[bool, float]:
@@ -34,20 +34,16 @@ def ppt_check(rho: DensityMatrix) -> tuple[bool, float]:
 class OracleConfig:
     """Settings for the ensemble minimization.
 
-    ``ensemble_size`` defaults to (dA*dB)**2 (enough atoms for any
-    separable state); smaller ensembles converge faster on low-rank
-    targets.
+    Each of ``restarts`` Frank-Wolfe runs stops after ``max_iters``
+    iterations, or earlier once its gap falls below ``convergence_tol``.
     """
 
-    ensemble_size: int | None = None
     restarts: int = 20
     max_iters: int = 2000
     seed: int = 0
     convergence_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.ensemble_size is not None and self.ensemble_size < 1:
-            raise InvariantViolation(f"ensemble_size: must be positive, got {self.ensemble_size}")
         if self.restarts < 1:
             raise InvariantViolation(f"restarts: must be positive, got {self.restarts}")
         if self.max_iters < 1:
@@ -88,35 +84,24 @@ class OracleResult:
                     for i in range(self.vectors_b.shape[1])
                 ],
             },
-            "sigma": {
-                "dims": list(self.sigma.dims),
-                "matrix": [
-                    [[float(z.real), float(z.imag)] for z in row] for row in self.sigma.mat
-                ],
-            },
+            "sigma": matrix_payload(self.sigma.dims, self.sigma.mat),
         }
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto { p : p >= 0, sum p = 1 }."""
-    a = -np.sort(-v)
-    cums = (np.cumsum(a) - 1.0) / np.arange(1, v.size + 1)
-    k = np.flatnonzero(a > cums)[-1]
-    return np.maximum(v - cums[k], 0.0)
 
 
 def _simplex_lsq(q: np.ndarray, c: np.ndarray, p0: np.ndarray) -> np.ndarray:
     """Minimize p^T Q p - 2 c^T p over the probability simplex.
 
-    Active-set iteration: solve the equality-constrained system on the
-    current support, drop negative weights, re-admit excluded atoms with
-    negative reduced cost.  Falls back to a feasible projection if the
-    support fails to settle (the caller only accepts improving steps).
+    Primal active-set iteration from the feasible start ``p0`` (uniform
+    when ``p0`` is zero): solve the equality-constrained system on the
+    current support and step towards its solution only as far as the
+    weights stay nonnegative, dropping the atom that reaches zero; once
+    the support is optimal, admit the excluded atom with the most
+    negative reduced cost.  No step leaves the simplex or raises the
+    objective, so the iteration cap returns a point no worse than ``p0``.
     """
     m = q.shape[0]
-    support = p0 > _WEIGHT_FLOOR
-    if not support.any():
-        support[:] = True
+    p = p0.copy() if p0.any() else np.full(m, 1.0 / m)
+    support = p > _WEIGHT_FLOOR
     for _ in range(4 * m + 16):
         s = np.flatnonzero(support)
         k = s.size
@@ -131,12 +116,16 @@ def _simplex_lsq(q: np.ndarray, c: np.ndarray, p0: np.ndarray) -> np.ndarray:
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         if not np.all(np.isfinite(sol)):
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        ps, nu = sol[:k], sol[k]
-        if ps.min() < -1e-12:
-            support[s[int(np.argmin(ps))]] = False
+        z, nu = sol[:k], sol[k]
+        if z.min() < -1e-12:
+            neg = np.flatnonzero(z < 0)
+            ratios = p[s[neg]] / (p[s[neg]] - z[neg])
+            p[s] += ratios.min() * (z - p[s])
+            p[s[neg[np.argmin(ratios)]]] = 0.0
+            support &= p > _WEIGHT_FLOOR
+            p[~support] = 0.0
             continue
-        p = np.zeros(m)
-        p[s] = np.maximum(ps, 0.0)
+        p[s] = np.maximum(z, 0.0)
         grad = 2.0 * (q @ p) - 2.0 * c
         excluded = np.flatnonzero(~support)
         if excluded.size:
@@ -146,7 +135,7 @@ def _simplex_lsq(q: np.ndarray, c: np.ndarray, p0: np.ndarray) -> np.ndarray:
                 support[excluded[worst]] = True
                 continue
         return p
-    return _project_simplex(p0)
+    return p
 
 
 def _haar_columns(rng: np.random.Generator, d: int, m: int) -> np.ndarray:
@@ -158,47 +147,6 @@ def _product_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     da, m = a.shape
     db = b.shape[0]
     return (a[:, None, :] * b[None, :, :]).reshape(da * db, m)
-
-
-def _local_matrices(r4: np.ndarray, a: np.ndarray, b: np.ndarray):
-    ma = np.einsum("ijkl,j,l->ik", r4, b.conj(), b)
-    mb = np.einsum("ijkl,i,k->jl", r4, a.conj(), a)
-    return ma, mb
-
-
-def _ascend(vec: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, bool]:
-    """One backtracked gradient step on <v|M|v>, halving the factor from 0.5.
-
-    Up to 50 halvings; the input is kept when no increase is found, so the
-    surrounding objective never worsens.  Small diffusive moves explore
-    the ensemble landscape well but crawl near degenerate optima.
-    """
-    q0 = float(np.real(vec.conj() @ mat @ vec))
-    grad = mat @ vec - q0 * vec
-    if float(np.linalg.norm(grad)) < 1e-16:
-        return vec, False
-    step = 0.5
-    for _ in range(50):
-        cand = vec + step * grad
-        cand = cand / np.linalg.norm(cand)
-        if float(np.real(cand.conj() @ mat @ cand)) > q0:
-            return cand, True
-        step *= 0.5
-    return vec, False
-
-
-def _exact_max(vec: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Exact coordinate maximizer of <v|M|v>: the top eigenvector of M.
-
-    Used to polish once gradient steps stall; jumping straight to the
-    subproblem optimum cuts through the near-degenerate valleys that
-    fixed-step moves zigzag across.
-    """
-    q0 = float(np.real(vec.conj() @ mat @ vec))
-    top = np.linalg.eigh((mat + mat.conj().T) / 2)[1][:, -1]
-    if float(np.real(top.conj() @ mat @ top)) > q0:
-        return top, True
-    return vec, False
 
 
 def _top_products(r4: np.ndarray, a: np.ndarray, b: np.ndarray, rounds: int = 3):
@@ -220,165 +168,76 @@ def _top_products(r4: np.ndarray, a: np.ndarray, b: np.ndarray, rounds: int = 3)
 def _run_restart(
     rho: np.ndarray,
     dims: tuple[int, int],
-    m: int,
     rng: np.random.Generator,
     max_iters: int,
     tol: float,
 ):
+    """One fully-corrective Frank-Wolfe run (Gilbert's algorithm).
+
+    Each iteration refines the active atoms and ``dA*dB`` fresh Haar
+    product states against the residual ``R = rho - sigma``, adds every
+    refined candidate to the ensemble, re-solves all weights on the
+    simplex (warm-started, so the objective never rises) and drops the
+    atoms left without weight.  Adding every candidate rather than the
+    best few is what lets the atoms move: an old atom and its refined
+    copy sit side by side and the weight solve picks between them.  The
+    run stops once the Frank-Wolfe gap ``max_x <x|R|x> - Tr(R sigma)``
+    over the candidates falls below ``tol``.
+    """
     da, db = dims
-    avecs = _haar_columns(rng, da, m)
-    bvecs = _haar_columns(rng, db, m)
-    weights = np.full(m, 1.0 / m)
-    prods = _product_columns(avecs, bvecs)
-    q = np.empty((m, m))
-    c = np.empty(m)
-    sigma = np.empty_like(rho)
-    cur = 0.0
-
-    def refresh_state():
-        nonlocal prods, q, c, sigma, cur
-        prods = _product_columns(avecs, bvecs)
-        ga = np.abs(avecs.conj().T @ avecs) ** 2
-        gb = np.abs(bvecs.conj().T @ bvecs) ** 2
-        q = ga * gb
-        c = np.einsum("di,di->i", prods.conj(), rho @ prods).real
-        sigma = (prods * weights) @ prods.conj().T
-        cur = float(np.linalg.norm(rho - sigma))
-
-    def merge_duplicates():
-        # weight smeared over near-identical atoms forms a degenerate
-        # valley that coordinate moves crawl across; pooling each group
-        # onto one atom lets a single exact step finish (any transient
-        # rise is undone by the best-snapshot bookkeeping)
-        nonlocal sigma, cur
-        act = np.flatnonzero(weights > _WEIGHT_FLOOR)
-        merged = False
-        for x in range(act.size):
-            i = act[x]
-            if weights[i] <= _WEIGHT_FLOOR:
-                continue
-            for y in range(x + 1, act.size):
-                j = act[y]
-                if weights[j] > _WEIGHT_FLOOR and q[i, j] >= 1 - 1e-4:
-                    weights[i] += weights[j]
-                    weights[j] = 0.0
-                    merged = True
-        if merged:
-            sigma = (prods * weights) @ prods.conj().T
-            cur = float(np.linalg.norm(rho - sigma))
-
-    def weights_step():
-        # convex subproblem on the simplex
-        nonlocal weights, sigma, cur
-        cand = _simplex_lsq(q, c, weights)
-        cand_sigma = (prods * cand) @ prods.conj().T
-        cand_obj = float(np.linalg.norm(rho - cand_sigma))
-        if cand_obj <= cur:
-            weights = cand
-            sigma = cand_sigma
-            cur = cand_obj
-
-    def sweep_step(improve):
-        # local improvement, one pass over the active atoms, then re-aim
-        # the idle atoms at the residual so the next weight solve can
-        # recruit them (the objective is unaffected by idle moves)
-        nonlocal sigma
-        resid = rho - sigma
-        for i in np.flatnonzero(weights > _WEIGHT_FLOOR):
-            p_i = weights[i]
-            old = prods[:, i]
-            r_i = resid + p_i * np.outer(old, old.conj())
-            r4 = r_i.reshape(da, db, da, db)
-            ma, mb = _local_matrices(r4, avecs[:, i], bvecs[:, i])
-            a_new, moved_a = improve(avecs[:, i], ma)
-            if moved_a:
-                avecs[:, i] = a_new
-                mb = np.einsum("ijkl,i,k->jl", r4, a_new.conj(), a_new)
-            b_new, moved_b = improve(bvecs[:, i], mb)
-            if moved_b:
-                bvecs[:, i] = b_new
-            if moved_a or moved_b:
-                new = np.kron(avecs[:, i], bvecs[:, i])
-                prods[:, i] = new
-                sigma = sigma + p_i * (np.outer(new, new.conj()) - np.outer(old, old.conj()))
-                resid = rho - sigma
-        idle = np.flatnonzero(weights <= _WEIGHT_FLOOR)
-        if idle.size:
-            r4 = resid.reshape(da, db, da, db)
-            a_new, b_new = _top_products(r4, avecs[:, idle], bvecs[:, idle])
-            avecs[:, idle] = a_new
-            bvecs[:, idle] = b_new
-
-    refresh_state()
-    best_obj = cur
-    best = (weights.copy(), avecs.copy(), bvecs.copy())
-    iters = 0
-    for _ in range(max_iters):
-        iters += 1
-        weights_step()
-        sweep_step(_ascend)
-        refresh_state()
-        improvement = best_obj - cur
-        if cur < best_obj:
-            best_obj = cur
-            best = (weights.copy(), avecs.copy(), bvecs.copy())
-        if improvement < tol:
-            break
-
-    # polish: pool duplicate atoms and take exact per-atom steps until the
-    # improvement stalls; converged means this final stage reached a stall.
-    # The weight solve runs after the sweep here so it cannot smear the
-    # just-pooled weight back over the duplicates.
+    avecs = np.empty((da, 0), dtype=complex)
+    bvecs = np.empty((db, 0), dtype=complex)
+    weights = np.empty(0)
+    sigma = np.zeros_like(rho)
     converged = False
-    for _ in range(_POLISH_ROUNDS):
-        iters += 1
-        merge_duplicates()
-        sweep_step(_exact_max)
-        refresh_state()
-        weights_step()
-        improvement = best_obj - cur
-        if cur < best_obj:
-            best_obj = cur
-            best = (weights.copy(), avecs.copy(), bvecs.copy())
-        if improvement < tol:
+    for iters in range(1, max_iters + 1):
+        resid = rho - sigma
+        cand_a, cand_b = _top_products(
+            resid.reshape(da, db, da, db),
+            np.concatenate([avecs, _haar_columns(rng, da, da * db)], axis=1),
+            np.concatenate([bvecs, _haar_columns(rng, db, da * db)], axis=1),
+        )
+        cands = _product_columns(cand_a, cand_b)
+        top = np.einsum("di,di->i", cands.conj(), resid @ cands).real.max()
+        if weights.size and top - np.vdot(sigma, resid).real < tol:
             converged = True
             break
-
-    weights, avecs, bvecs = best
-    return best_obj, weights, avecs, bvecs, iters, converged
+        avecs = np.concatenate([avecs, cand_a], axis=1)
+        bvecs = np.concatenate([bvecs, cand_b], axis=1)
+        prods = _product_columns(avecs, bvecs)
+        q = np.abs(avecs.conj().T @ avecs) ** 2 * np.abs(bvecs.conj().T @ bvecs) ** 2
+        c = np.einsum("di,di->i", prods.conj(), rho @ prods).real
+        weights = _simplex_lsq(q, c, np.pad(weights, (0, cands.shape[1])))
+        keep = weights > _WEIGHT_FLOOR
+        weights, avecs, bvecs = weights[keep], avecs[:, keep], bvecs[:, keep]
+        prods = prods[:, keep]
+        sigma = (prods * weights) @ prods.conj().T
+    return float(np.linalg.norm(rho - sigma)), sigma, weights, avecs, bvecs, iters, converged
 
 
 def dsep_upper(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:
     """Upper bound on the Frobenius distance to the separable set.
 
-    Runs ``cfg.restarts`` independently seeded alternating minimizations
-    (each capped at ``max_iters`` and finished by a short exact polish
-    stage) and keeps the best; deterministic for a fixed (seed, restarts)
-    pair.  ``converged`` means the polish stage stalled below
-    ``convergence_tol``; a capped run still yields a valid upper bound.
+    Runs ``cfg.restarts`` independently seeded Frank-Wolfe minimizations,
+    each capped at ``max_iters`` iterations, and keeps the best;
+    deterministic for a fixed (seed, restarts) pair.  ``converged`` means
+    the Frank-Wolfe gap over the refined candidates fell below
+    ``convergence_tol``.  The candidate search is a heuristic, so this is
+    a stall test, not a proof of optimality.  Converged or capped, the
+    value is the exact distance to the returned explicit ensemble, hence
+    always a valid upper bound.
     """
     cfg = cfg or OracleConfig()
-    da, db = rho.dims
-    m = cfg.ensemble_size if cfg.ensemble_size is not None else (da * db) ** 2
     best = None
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        outcome = _run_restart(
-            rho.mat, rho.dims, m, rng, cfg.max_iters, cfg.convergence_tol
-        )
+        outcome = _run_restart(rho.mat, rho.dims, rng, cfg.max_iters, cfg.convergence_tol)
         if best is None or outcome[0] < best[0]:
             best = outcome
-    obj, weights, avecs, bvecs, iters, converged = best
-    keep = weights > 0.0
-    weights = weights[keep]
-    avecs = avecs[:, keep]
-    bvecs = bvecs[:, keep]
-    prods = _product_columns(avecs, bvecs)
-    sigma_mat = (prods * weights) @ prods.conj().T
-    sigma = DensityMatrix(dims=rho.dims, mat=sigma_mat)
+    obj, sigma, weights, avecs, bvecs, iters, converged = best
     return OracleResult(
-        dsep_upper=float(np.linalg.norm(rho.mat - sigma_mat)),
-        sigma=sigma,
+        dsep_upper=obj,
+        sigma=DensityMatrix(dims=rho.dims, mat=sigma),
         iterations_used=iters,
         converged=converged,
         weights=weights,
