@@ -17,6 +17,7 @@ from .generators import (
     swap_operator,
     verify_generator_identities,
 )
+from .io import fixture, load_state, load_witness, save_state, save_witness
 from .linalg import (
     frobenius_inner,
     frobenius_norm,
@@ -43,11 +44,6 @@ from .states import (
     PureState,
     SchmidtVector,
     bell_state,
-    fixture,
-    load_state,
-    load_witness,
-    save_state,
-    save_witness,
     schmidt,
     singlet_state,
 )

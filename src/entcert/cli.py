@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 on invalid input (parse or invariant failure,
 the message names the violated invariant), 2 on numerical failure
 (eigensolver error or oracle non-convergence).  All results go to stdout
-as a single JSON document; informational chatter goes to stderr and is
+as a single JSON document written by ``json.dumps``; ``--out`` writes the
+same text to a file.  Informational chatter goes to stderr and is
 silenced by ``--quiet``.
 """
 
@@ -14,10 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InvariantViolation, NumericalError
 from .generators import gellmann
+from .io import fixture, load_state, load_witness, matrix_payload
 from .linalg import hermitian_eig
 from .measures import (
     bounds_from_dsep,
@@ -28,14 +28,7 @@ from .measures import (
     geometric_pure,
 )
 from .oracle import OracleConfig, dsep_upper
-from .states import (
-    PureState,
-    fixture,
-    load_state,
-    load_witness,
-    matrix_payload,
-    schmidt,
-)
+from .states import PureState, schmidt
 from .witnesses import (
     RotationSet,
     Witness,
@@ -47,25 +40,6 @@ from .witnesses import (
 )
 
 _RANK_TOL = 1e-8
-
-
-def dumps(obj) -> str:
-    """Serialize to JSON with floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(dumps(x) for x in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{dumps(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,9 +56,10 @@ def _info(args, text: str) -> None:
 
 
 def _emit(args, payload: dict, out: str | None = None) -> None:
-    print(dumps(payload))
+    text = json.dumps(payload) + "\n"
+    sys.stdout.write(text)
     if out:
-        Path(out).write_text(json.dumps(payload) + "\n")
+        Path(out).write_text(text)
         _info(args, f"wrote {out}")
 
 
@@ -156,7 +131,7 @@ def _cmd_oracle(args) -> int:
         f"oracle: dsep_upper={result.dsep_upper:.6g} after {result.iterations_used} "
         f"iterations, converged={result.converged}",
     )
-    print(dumps(result.to_json()))
+    _emit(args, result.to_json())
     return 0 if result.converged else 2
 
 

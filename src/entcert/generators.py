@@ -92,11 +92,8 @@ def collective(gens: GeneratorSet) -> CollectiveSet:
 
 def swap_operator(d: int) -> np.ndarray:
     """Permutation matrix exchanging the two tensor factors: F |i,j> = |j,i>."""
-    f = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            f[j * d + i, i * d + j] = 1.0
-    return f.astype(np.complex128)
+    eye = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d)
+    return eye.transpose(1, 0, 2, 3).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,150 @@
+"""JSON file I/O and the named fixtures.
+
+States and witnesses share one file schema::
+
+    {"dims": [dA, dB], "matrix": [[[re, im], ...], ...]}
+
+``matrix`` is row-major with dA*dB rows of dA*dB ``[re, im]`` pairs.
+Witness files carry an extra ``"kind": "witness"`` and are validated for
+Hermiticity only; states must additionally have unit trace and be
+positive semidefinite within tolerance.  Payloads are written with
+``json.dumps``, whose shortest round-trip float repr keeps every value,
+the sign of zero included, bit-exact through a save and load.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+
+from .errors import InvariantViolation
+from .linalg import bipartite_dims
+from .states import DensityMatrix, bell_state, singlet_state
+from .witnesses import Witness
+
+
+def complex_pairs(vec) -> list[list[float]]:
+    """``[re, im]`` pairs of the entries of a complex vector."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=np.complex128)]
+
+
+def matrix_payload(dims: tuple[int, int], mat: np.ndarray, kind: str | None = None) -> dict:
+    """The shared JSON payload for a matrix, as a plain dict."""
+    payload: dict = {"dims": [int(dims[0]), int(dims[1])]}
+    if kind is not None:
+        payload["kind"] = kind
+    payload["matrix"] = [complex_pairs(row) for row in np.asarray(mat)]
+    return payload
+
+
+def read_matrix_payload(path) -> tuple[tuple[int, int], np.ndarray, str | None]:
+    """Parse the shared schema; returns (dims, matrix, kind).
+
+    Finiteness, Hermiticity and the state invariants are left to the
+    ``DensityMatrix`` and ``Witness`` constructors.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InvariantViolation(f"parse: cannot read {path}: {exc}") from exc
+    if not isinstance(payload, dict) or "dims" not in payload or "matrix" not in payload:
+        raise InvariantViolation("parse: payload must be an object with 'dims' and 'matrix'")
+    dims = bipartite_dims(payload["dims"])
+    d = dims[0] * dims[1]
+    expected = f"shape: matrix must be {d} rows of {d} numeric [re, im] pairs"
+    try:
+        pairs = np.array(payload["matrix"])
+    except ValueError as exc:  # ragged nesting
+        raise InvariantViolation(expected) from exc
+    if pairs.shape != (d, d, 2) or pairs.dtype.kind not in "biuf":
+        raise InvariantViolation(f"{expected}, got shape {pairs.shape} of {pairs.dtype}")
+    # viewing (re, im) float pairs as complex keeps the sign of zero, a + 1j*b does not
+    mat = np.ascontiguousarray(pairs, dtype=float).view(np.complex128)[..., 0]
+    return dims, mat, payload.get("kind")
+
+
+def save_state(rho: DensityMatrix, path) -> None:
+    Path(path).write_text(json.dumps(matrix_payload(rho.dims, rho.mat)) + "\n")
+
+
+def load_state(path) -> DensityMatrix:
+    """Load and validate a density matrix; load(save(rho)) is bit-exact."""
+    dims, mat, kind = read_matrix_payload(path)
+    if kind == "witness":
+        raise InvariantViolation("kind: file holds a witness, not a state")
+    return DensityMatrix(dims=dims, mat=mat)
+
+
+def save_witness(w: Witness, path) -> None:
+    Path(path).write_text(json.dumps(matrix_payload(w.dims, w.mat, kind="witness")) + "\n")
+
+
+def load_witness(path) -> Witness:
+    dims, mat, kind = read_matrix_payload(path)
+    if kind != "witness":
+        raise InvariantViolation(
+            f"kind: expected a witness file (kind='witness'), got {kind!r}"
+        )
+    return Witness(dims=dims, mat=mat)
+
+
+# ---------------------------------------------------------------------------
+# Fixtures
+# ---------------------------------------------------------------------------
+
+# 3x3 PPT entangled state, exact entries n/15.
+_PPT_STATE_NUM = [
+    [1, 0, 0, 0, 1, 0, 0, 0, 1],
+    [0, 2, 0, 0, 0, -1, -1, 0, 0],
+    [0, 0, 2, -1, 0, 0, 0, -1, 0],
+    [0, 0, -1, 2, 0, 0, 0, -1, 0],
+    [1, 0, 0, 0, 1, 0, 0, 0, 1],
+    [0, -1, 0, 0, 0, 2, -1, 0, 0],
+    [0, -1, 0, 0, 0, -1, 2, 0, 0],
+    [0, 0, -1, -1, 0, 0, 0, 2, 0],
+    [1, 0, 0, 0, 1, 0, 0, 0, 1],
+]
+_PPT_STATE_DEN = 15
+
+# Witness from four mutually unbiased bases that detects the state above,
+# exact entries n/3.
+_MUB_WITNESS_NUM = [
+    [4, 0, 0, 0, -1, 0, 0, 0, -1],
+    [0, 1, 0, 0, 0, 2, 2, 0, 0],
+    [0, 0, 1, 2, 0, 0, 0, 2, 0],
+    [0, 0, 2, 1, 0, 0, 0, 2, 0],
+    [-1, 0, 0, 0, 4, 0, 0, 0, -1],
+    [0, 2, 0, 0, 0, 1, 2, 0, 0],
+    [0, 2, 0, 0, 0, 2, 1, 0, 0],
+    [0, 0, 2, 2, 0, 0, 0, 1, 0],
+    [-1, 0, 0, 0, -1, 0, 0, 0, 4],
+]
+_MUB_WITNESS_DEN = 3
+
+FIXTURE_NAMES = ("paper_ppt_state", "paper_mub_witness", "bell(d)", "singlet")
+
+
+def fixture(name: str) -> DensityMatrix | Witness:
+    """Built-in reference objects addressed by name.
+
+    ``paper_ppt_state`` and ``paper_mub_witness`` carry exact rational
+    entries; ``bell(d)`` and ``singlet`` are the standard maximally
+    entangled projectors.
+    """
+    if name == "paper_ppt_state":
+        mat = np.array(_PPT_STATE_NUM, dtype=np.complex128) / _PPT_STATE_DEN
+        return DensityMatrix(dims=(3, 3), mat=mat)
+    if name == "paper_mub_witness":
+        mat = np.array(_MUB_WITNESS_NUM, dtype=np.complex128) / _MUB_WITNESS_DEN
+        return Witness(dims=(3, 3), mat=mat)
+    if name == "singlet":
+        return singlet_state().projector()
+    m = re.fullmatch(r"bell\((\d+)\)", name)
+    if m:
+        return bell_state(int(m.group(1))).projector()
+    raise InvariantViolation(
+        f"name: unknown fixture {name!r}; valid names: {', '.join(FIXTURE_NAMES)}"
+    )

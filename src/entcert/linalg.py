@@ -2,12 +2,15 @@
 
 Hilbert-Schmidt inner products and norms, Kronecker products, partial
 trace/transpose over a bipartite splitting, Hermitian eigendecomposition
-and SVD.  Matrices are plain ``numpy`` arrays of ``complex128``; the
+and SVD, plus the dims and Hermiticity checks shared by the bipartite
+types.  Matrices are plain ``numpy`` arrays of ``complex128``; the
 eigen/SVD work is delegated to LAPACK, the contract here is the residual
 bound, not the algorithm.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -25,14 +28,41 @@ def as_matrix(entries) -> np.ndarray:
     return mat
 
 
+def bipartite_dims(dims) -> tuple[int, int]:
+    """Coerce to ``(dA, dB)``, two positive integers."""
+    try:
+        da, db = (operator.index(x) for x in dims)
+        if da >= 1 and db >= 1:
+            return da, db
+    except (TypeError, ValueError):
+        pass
+    raise InvariantViolation(f"dims: expected two positive integers, got {dims!r}")
+
+
+def bipartite_operator(dims, entries, what: str) -> tuple[tuple[int, int], np.ndarray]:
+    """Checked dims and a read-only Hermitian copy of the dA*dB matrix named ``what``."""
+    dims = bipartite_dims(dims)
+    mat = as_matrix(entries)
+    d = dims[0] * dims[1]
+    if mat.shape != (d, d):
+        raise DimensionMismatch(f"dims: {what} is {mat.shape}, dims {dims} require {(d, d)}")
+    _require_hermitian(mat, what, TOLS.hermiticity)
+    mat = mat.copy()
+    mat.setflags(write=False)  # safe to share across concurrent readers
+    return dims, mat
+
+
 def _require_square(mat: np.ndarray, what: str = "matrix") -> None:
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"shape: {what} must be square, got {mat.shape}")
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """Largest entry of |A - A^dag|."""
-    return float(np.abs(mat - mat.conj().T).max())
+def _require_hermitian(mat: np.ndarray, what: str, tol: float) -> None:
+    defect = float(np.abs(mat - mat.conj().T).max())
+    if defect > tol:
+        raise InvariantViolation(
+            f"hermiticity: {what} has max |A - A^dag| = {defect:.3e} > {tol:.1e}"
+        )
 
 
 def frobenius_inner(a, b) -> complex:
@@ -58,9 +88,7 @@ def kron(a, b) -> np.ndarray:
 
 
 def _bipartite_tensor(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    da, db = dims
-    if da < 1 or db < 1:
-        raise InvariantViolation(f"dims: subsystem dimensions must be positive, got {dims}")
+    da, db = bipartite_dims(dims)
     if rho.shape != (da * db, da * db):
         raise DimensionMismatch(
             f"dims: matrix is {rho.shape}, dims {dims} require {(da * db, da * db)}"
@@ -101,12 +129,7 @@ def hermitian_eig(a, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_matrix(a)
     _require_square(a)
-    tol = TOLS.hermiticity if tol is None else tol
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise InvariantViolation(
-            f"hermiticity: max |A - A^dag| = {defect:.3e} exceeds tolerance {tol:.1e}"
-        )
+    _require_hermitian(a, "matrix", TOLS.hermiticity if tol is None else tol)
     try:
         w, v = np.linalg.eigh((a + a.conj().T) / 2)
     except np.linalg.LinAlgError as exc:

@@ -17,8 +17,9 @@ import numpy as np
 
 from .config import TOLS
 from .errors import InvariantViolation
+from .io import complex_pairs, matrix_payload
 from .linalg import hermitian_eig, partial_transpose
-from .states import DensityMatrix, matrix_payload
+from .states import DensityMatrix
 
 _WEIGHT_FLOOR = 1e-14
 
@@ -75,14 +76,8 @@ class OracleResult:
             "converged": self.converged,
             "ensemble": {
                 "weights": [float(w) for w in self.weights],
-                "vectors_a": [
-                    [[float(z.real), float(z.imag)] for z in self.vectors_a[:, i]]
-                    for i in range(self.vectors_a.shape[1])
-                ],
-                "vectors_b": [
-                    [[float(z.real), float(z.imag)] for z in self.vectors_b[:, i]]
-                    for i in range(self.vectors_b.shape[1])
-                ],
+                "vectors_a": [complex_pairs(v) for v in self.vectors_a.T],
+                "vectors_b": [complex_pairs(v) for v in self.vectors_b.T],
             },
             "sigma": matrix_payload(self.sigma.dims, self.sigma.mat),
         }

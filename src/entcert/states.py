@@ -1,28 +1,21 @@
-"""Bipartite state types, Schmidt decomposition, JSON file I/O and fixtures.
+"""Bipartite state types and the Schmidt decomposition.
 
-The file schema is shared by states and witnesses::
-
-    {"dims": [dA, dB], "matrix": [[[re, im], ...], ...]}
-
-``matrix`` is row-major with dA*dB rows of dA*dB ``[re, im]`` pairs.
-Witness files carry an extra ``"kind": "witness"`` and are validated for
-Hermiticity only; states must additionally have unit trace and be
-positive semidefinite within tolerance.
+``DensityMatrix`` and ``PureState`` validate on construction and hold
+read-only arrays; ``schmidt`` splits a pure state into its coefficients
+and local bases.  ``bell_state`` and ``singlet_state`` build the standard
+maximally entangled states.  File I/O and named fixtures live in
+``entcert.io``.
 """
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import as_matrix, hermiticity_defect, svd
-from .witnesses import Witness
+from .linalg import bipartite_dims, bipartite_operator, svd
 
 
 @dataclass
@@ -33,34 +26,17 @@ class DensityMatrix:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.dims = (int(self.dims[0]), int(self.dims[1]))
-        da, db = self.dims
-        if da < 1 or db < 1:
-            raise InvariantViolation(f"dims: subsystem dimensions must be positive, got {self.dims}")
-        mat = as_matrix(self.mat)
-        d = da * db
-        if mat.shape != (d, d):
-            raise DimensionMismatch(
-                f"dims: matrix is {mat.shape}, dims {self.dims} require {(d, d)}"
-            )
-        defect = hermiticity_defect(mat)
-        if defect > TOLS.hermiticity:
-            raise InvariantViolation(
-                f"hermiticity: max |rho - rho^dag| = {defect:.3e} exceeds {TOLS.hermiticity:.1e}"
-            )
-        tr = np.trace(mat)
+        self.dims, self.mat = bipartite_operator(self.dims, self.mat, "matrix")
+        tr = np.trace(self.mat)
         if abs(tr - 1.0) > TOLS.trace:
             raise InvariantViolation(
                 f"trace: Tr(rho) = {tr.real:.12g} differs from 1 by {abs(tr - 1.0):.3e}"
             )
-        lo = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
+        lo = float(np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)[0])
         if lo < -TOLS.psd:
             raise InvariantViolation(
                 f"positivity: minimum eigenvalue {lo:.3e} is below -{TOLS.psd:.1e}"
             )
-        mat = mat.copy()
-        mat.setflags(write=False)  # safe to share across concurrent readers
-        self.mat = mat
 
 
 @dataclass
@@ -71,7 +47,7 @@ class PureState:
     vec: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.dims = (int(self.dims[0]), int(self.dims[1]))
+        self.dims = bipartite_dims(self.dims)
         vec = np.asarray(self.vec, dtype=np.complex128).reshape(-1)
         d = self.dims[0] * self.dims[1]
         if vec.shape != (d,):
@@ -138,122 +114,6 @@ def schmidt(psi: PureState) -> tuple[SchmidtVector, np.ndarray, np.ndarray]:
     return SchmidtVector(coeffs=lam), u, v.conj()
 
 
-# ---------------------------------------------------------------------------
-# File I/O
-# ---------------------------------------------------------------------------
-
-
-def matrix_payload(dims: tuple[int, int], mat: np.ndarray, kind: str | None = None) -> dict:
-    """The shared JSON payload for a matrix, as a plain dict."""
-    payload: dict = {"dims": [int(dims[0]), int(dims[1])]}
-    if kind is not None:
-        payload["kind"] = kind
-    mat = np.asarray(mat, dtype=np.complex128)
-    payload["matrix"] = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-    return payload
-
-
-def write_matrix_payload(path, dims: tuple[int, int], mat: np.ndarray, kind: str | None = None) -> None:
-    Path(path).write_text(json.dumps(matrix_payload(dims, mat, kind)) + "\n")
-
-
-def read_matrix_payload(path) -> tuple[tuple[int, int], np.ndarray, str | None]:
-    """Parse the shared schema; returns (dims, matrix, kind)."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvariantViolation(f"parse: cannot read {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "dims" not in payload or "matrix" not in payload:
-        raise InvariantViolation("parse: payload must be an object with 'dims' and 'matrix'")
-    dims = payload["dims"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 2
-        or not all(isinstance(x, int) and x > 0 for x in dims)
-    ):
-        raise InvariantViolation(f"dims: expected two positive integers, got {dims!r}")
-    d = dims[0] * dims[1]
-    rows = payload["matrix"]
-    if not isinstance(rows, list) or len(rows) != d:
-        raise InvariantViolation(f"shape: expected {d} matrix rows, got {len(rows) if isinstance(rows, list) else type(rows)}")
-    mat = np.empty((d, d), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != d:
-            raise InvariantViolation(f"shape: row {i} must hold {d} [re, im] pairs")
-        for j, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)
-            ):
-                raise InvariantViolation(f"shape: entry ({i},{j}) must be a numeric [re, im] pair")
-            mat[i, j] = complex(pair[0], pair[1])
-    if not np.all(np.isfinite(mat)):
-        raise InvariantViolation("finiteness: matrix contains NaN or Inf entries")
-    return (dims[0], dims[1]), mat, payload.get("kind")
-
-
-def save_state(rho: DensityMatrix, path) -> None:
-    write_matrix_payload(path, rho.dims, rho.mat)
-
-
-def load_state(path) -> DensityMatrix:
-    """Load and validate a density matrix; load(save(rho)) is bit-exact."""
-    dims, mat, kind = read_matrix_payload(path)
-    if kind == "witness":
-        raise InvariantViolation("kind: file holds a witness, not a state")
-    return DensityMatrix(dims=dims, mat=mat)
-
-
-def load_witness(path) -> Witness:
-    dims, mat, kind = read_matrix_payload(path)
-    if kind != "witness":
-        raise InvariantViolation(
-            f"kind: expected a witness file (kind='witness'), got {kind!r}"
-        )
-    return Witness(dims=dims, mat=mat)
-
-
-def save_witness(w: Witness, path) -> None:
-    write_matrix_payload(path, w.dims, w.mat, kind="witness")
-
-
-# ---------------------------------------------------------------------------
-# Fixtures
-# ---------------------------------------------------------------------------
-
-# 3x3 PPT entangled state, exact entries n/15.
-_PPT_STATE_NUM = [
-    [1, 0, 0, 0, 1, 0, 0, 0, 1],
-    [0, 2, 0, 0, 0, -1, -1, 0, 0],
-    [0, 0, 2, -1, 0, 0, 0, -1, 0],
-    [0, 0, -1, 2, 0, 0, 0, -1, 0],
-    [1, 0, 0, 0, 1, 0, 0, 0, 1],
-    [0, -1, 0, 0, 0, 2, -1, 0, 0],
-    [0, -1, 0, 0, 0, -1, 2, 0, 0],
-    [0, 0, -1, -1, 0, 0, 0, 2, 0],
-    [1, 0, 0, 0, 1, 0, 0, 0, 1],
-]
-_PPT_STATE_DEN = 15
-
-# Witness from four mutually unbiased bases that detects the state above,
-# exact entries n/3.
-_MUB_WITNESS_NUM = [
-    [4, 0, 0, 0, -1, 0, 0, 0, -1],
-    [0, 1, 0, 0, 0, 2, 2, 0, 0],
-    [0, 0, 1, 2, 0, 0, 0, 2, 0],
-    [0, 0, 2, 1, 0, 0, 0, 2, 0],
-    [-1, 0, 0, 0, 4, 0, 0, 0, -1],
-    [0, 2, 0, 0, 0, 1, 2, 0, 0],
-    [0, 2, 0, 0, 0, 2, 1, 0, 0],
-    [0, 0, 2, 2, 0, 0, 0, 1, 0],
-    [-1, 0, 0, 0, -1, 0, 0, 0, 4],
-]
-_MUB_WITNESS_DEN = 3
-
-FIXTURE_NAMES = ("paper_ppt_state", "paper_mub_witness", "bell(d)", "singlet")
-
-
 def bell_state(d: int) -> PureState:
     """Maximally entangled state (1/sqrt(d)) sum_i |ii> on d x d."""
     if d < 2:
@@ -268,26 +128,3 @@ def singlet_state() -> PureState:
     vec[1] = 1 / np.sqrt(2)
     vec[2] = -1 / np.sqrt(2)
     return PureState(dims=(2, 2), vec=vec)
-
-
-def fixture(name: str) -> DensityMatrix | Witness:
-    """Built-in reference objects addressed by name.
-
-    ``paper_ppt_state`` and ``paper_mub_witness`` carry exact rational
-    entries; ``bell(d)`` and ``singlet`` are the standard maximally
-    entangled projectors.
-    """
-    if name == "paper_ppt_state":
-        mat = np.array(_PPT_STATE_NUM, dtype=np.complex128) / _PPT_STATE_DEN
-        return DensityMatrix(dims=(3, 3), mat=mat)
-    if name == "paper_mub_witness":
-        mat = np.array(_MUB_WITNESS_NUM, dtype=np.complex128) / _MUB_WITNESS_DEN
-        return Witness(dims=(3, 3), mat=mat)
-    if name == "singlet":
-        return singlet_state().projector()
-    m = re.fullmatch(r"bell\((\d+)\)", name)
-    if m:
-        return bell_state(int(m.group(1))).projector()
-    raise InvariantViolation(
-        f"name: unknown fixture {name!r}; valid names: {', '.join(FIXTURE_NAMES)}"
-    )

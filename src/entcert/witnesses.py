@@ -21,7 +21,7 @@ import numpy as np
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
 from .generators import GeneratorSet, collective
-from .linalg import as_matrix, frobenius_inner, hermiticity_defect, kron
+from .linalg import bipartite_operator, frobenius_inner
 
 if TYPE_CHECKING:
     from .states import DensityMatrix
@@ -35,23 +35,9 @@ class Witness:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.dims = (int(self.dims[0]), int(self.dims[1]))
-        mat = as_matrix(self.mat)
-        d = self.dims[0] * self.dims[1]
-        if mat.shape != (d, d):
-            raise DimensionMismatch(
-                f"dims: witness matrix is {mat.shape}, dims {self.dims} require {(d, d)}"
-            )
-        defect = hermiticity_defect(mat)
-        if defect > TOLS.hermiticity:
-            raise InvariantViolation(
-                f"hermiticity: max |W - W^dag| = {defect:.3e} exceeds {TOLS.hermiticity:.1e}"
-            )
-        if not np.any(mat):
+        self.dims, self.mat = bipartite_operator(self.dims, self.mat, "witness matrix")
+        if not np.any(self.mat):
             raise InvariantViolation("nonzero: witness matrix is identically zero")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        self.mat = mat
 
 
 @dataclass(frozen=True)
@@ -251,11 +237,9 @@ def mub_witness(mubs: MubFamily, rotations: RotationSet) -> Witness:
     for basis, rot in zip(mubs.bases, rotations.mats):
         if rot.shape != (d, d):
             raise DimensionMismatch(f"shape: rotation is {rot.shape}, expected {(d, d)}")
-        projs = [np.outer(basis[:, k], basis[:, k].conj()) for k in range(d)]
-        for k in range(d):
-            for l in range(d):
-                if rot[k, l] != 0.0:
-                    acc += rot[k, l] * kron(projs[l].conj(), projs[k])
+        # column (l, k) is conj(b_l) (x) b_k, so the sum is cols diag(O^T) cols^dag
+        cols = np.einsum("il,jk->ijlk", basis.conj(), basis).reshape(d * d, d * d)
+        acc += (cols * rot.T.reshape(-1)) @ cols.conj().T
     mat = ((d - 1 + count) / d) * np.eye(d * d) - acc
     return Witness(dims=(d, d), mat=mat)
 

@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from entcert import fixture, save_state
+from entcert import diagonal_twirl, fixture, load_state, save_state
 
 
 def run_cli(*args):
@@ -174,3 +175,18 @@ def test_fixture_round_trip_via_files(tmp_path, paper_files):
     second = run_cli("bound", "--state", str(state), "--witness-file", str(witness), "--quiet")
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["dsep_lower"] == json.loads(second.stdout)["dsep_lower"]
+
+
+def test_twirl_stdout_is_the_out_file_and_keeps_float_signs(tmp_path, paper_files):
+    state, _ = paper_files
+    out = tmp_path / "twirled.json"
+    proc = run_cli("twirl", "--state", str(state), "--out", str(out), "--quiet")
+    assert proc.returncode == 0
+    assert proc.stdout == out.read_text()
+    entries = [x for row in json.loads(proc.stdout)["matrix"] for pair in row for x in pair]
+    assert all(isinstance(x, float) for x in entries)
+    expected = diagonal_twirl(fixture("paper_ppt_state")).mat
+    signs = [math.copysign(1.0, x) for x in expected.view(float).ravel()]
+    assert sum(x == 0.0 and s < 0 for x, s in zip(entries, signs)) == 12
+    assert [math.copysign(1.0, x) for x in entries] == signs
+    assert load_state(out).mat.tobytes() == expected.tobytes()

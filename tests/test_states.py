@@ -52,6 +52,20 @@ def test_density_matrix_rejects_wrong_shape():
         DensityMatrix(dims=(2, 2), mat=np.eye(6) / 6)
 
 
+@pytest.mark.parametrize("dims", [(0, 1), (-1, -1), (-2, -3)])
+@pytest.mark.parametrize("kind", ["density", "pure", "witness"])
+def test_constructors_reject_nonpositive_dims(kind, dims):
+    # entries sized to |dA*dB| so that only the dims check can fail
+    d = max(abs(dims[0] * dims[1]), 1)
+    with pytest.raises(InvariantViolation, match="dims"):
+        if kind == "density":
+            DensityMatrix(dims=dims, mat=np.eye(d) / d)
+        elif kind == "pure":
+            PureState(dims=dims, vec=np.ones(d) / np.sqrt(d))
+        else:
+            Witness(dims=dims, mat=np.eye(d))
+
+
 def test_pure_state_norm_invariant():
     with pytest.raises(InvariantViolation, match="norm"):
         PureState(dims=(2, 2), vec=np.array([1.0, 1.0, 0.0, 0.0]))
