@@ -80,10 +80,6 @@ def _cmd_bound(args) -> int:
         w = mub_witness(fam, RotationSet.identity(d, count))
         cert = mub_bound(w, count, rho)
     else:
-        if rho.dims[0] != rho.dims[1]:
-            raise InvariantViolation(
-                f"dims: the variance witness requires equal local dimensions, got {rho.dims}"
-            )
         cert = spin_bound(rho, gellmann(rho.dims[0]))
     _info(args, f"certified={cert.certified} dsep_lower={cert.dsep_lower:.6g}")
     _emit(args, _certificate_payload(cert))

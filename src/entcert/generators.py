@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import as_matrix, kron
+from .linalg import _require_hermitian, as_matrix, kron
 
 _TRACELESS_TOL = 1e-12
 _ORTHO_TOL = 1e-10
@@ -33,13 +33,14 @@ class GeneratorSet:
             raise InvariantViolation(
                 f"shape: expected {n} generators of size {self.d}x{self.d}, got {self.gens.shape}"
             )
+        _require_hermitian(self.gens, "generator set")
         traces = np.abs(np.trace(self.gens, axis1=1, axis2=2))
         if traces.max() > _TRACELESS_TOL:
             raise InvariantViolation(
                 f"tracelessness: max |Tr g_k| = {traces.max():.3e} exceeds {_TRACELESS_TOL:.1e}"
             )
         flat = self.gens.reshape(n, -1)
-        gram = flat.conj() @ flat.T  # Tr(g_k^dag g_l); generators are Hermitian
+        gram = flat.conj() @ flat.T  # Tr(g_k^dag g_l) = Tr(g_k g_l) for Hermitian g_k
         defect = np.abs(gram - 2 * np.eye(n)).max()
         if defect > _ORTHO_TOL:
             raise InvariantViolation(

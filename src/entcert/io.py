@@ -48,7 +48,7 @@ def read_matrix_payload(path) -> tuple[tuple[int, int], np.ndarray, str | None]:
     """
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decode errors
         raise InvariantViolation(f"parse: cannot read {path}: {exc}") from exc
     if not isinstance(payload, dict) or "dims" not in payload or "matrix" not in payload:
         raise InvariantViolation("parse: payload must be an object with 'dims' and 'matrix'")

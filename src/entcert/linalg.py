@@ -46,7 +46,7 @@ def bipartite_operator(dims, entries, what: str) -> tuple[tuple[int, int], np.nd
     d = dims[0] * dims[1]
     if mat.shape != (d, d):
         raise DimensionMismatch(f"dims: {what} is {mat.shape}, dims {dims} require {(d, d)}")
-    _require_hermitian(mat, what, TOLS.hermiticity)
+    _require_hermitian(mat, what)
     mat = mat.copy()
     mat.setflags(write=False)  # safe to share across concurrent readers
     return dims, mat
@@ -57,8 +57,8 @@ def _require_square(mat: np.ndarray, what: str = "matrix") -> None:
         raise DimensionMismatch(f"shape: {what} must be square, got {mat.shape}")
 
 
-def _require_hermitian(mat: np.ndarray, what: str, tol: float) -> None:
-    defect = float(np.abs(mat - mat.conj().T).max())
+def _require_hermitian(mat: np.ndarray, what: str, tol: float = TOLS.hermiticity) -> None:
+    defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if defect > tol:
         raise InvariantViolation(
             f"hermiticity: {what} has max |A - A^dag| = {defect:.3e} > {tol:.1e}"

@@ -8,7 +8,8 @@ certifies, for any state with ``Tr(W rho) < 0``, the lower bound
 where ``b`` is the Frobenius norm of the traceless part of ``W`` (or any
 upper bound on it).  Two witness families are built here: the projector
 family derived from mutually unbiased bases, and the variance witness
-derived from the collective-operator squeezing inequality.
+derived from the collective-operator squeezing inequality.  Via the SU(d)
+generator identities it needs only the marginals, the swap and ``gens.d``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
-from .generators import GeneratorSet, collective
-from .linalg import bipartite_operator, frobenius_inner
+from .generators import GeneratorSet, swap_operator
+from .linalg import bipartite_operator, frobenius_inner, partial_trace
 
 if TYPE_CHECKING:
     from .states import DensityMatrix
@@ -265,23 +266,25 @@ def spin_radius_bound(d: int) -> float:
 def spin_witness(rho: "DensityMatrix", gens: GeneratorSet) -> Witness:
     """Variance witness linearized at ``rho``.
 
-    With m_k = Tr(G_k rho), returns W = sum_k (G_k - m_k I)^2 - 4(d-1) I,
-    so Tr(W rho) is the total collective-operator variance minus the
-    separability floor 4(d-1).
+    W = sum_k (G_k - m_k I)^2 - 4(d-1) I, with G_k = g_k (x) I + I (x) g_k
+    and m_k = Tr(G_k rho), is the collective variance minus its separable
+    floor.  With F the swap and X = rho_A + rho_B, the identities
+    sum_k g_k^2 = 2(d^2-1)/d I, sum_k g_k (x) g_k = 2(F - I/d) and
+    sum_k Tr(g_k X) g_k = 2(X - Tr X I/d), which hold for every orthonormal
+    Hermitian generator set (so only ``gens.d`` is used), give
+
+        W = (4 - 8/d + Tr(M^2)/2) I + 4F - 2(M (x) I + I (x) M),
+        M = sum_k m_k g_k = 2(X - Tr X I/d) = 2X - (4/d) I.
     """
     d = gens.d
-    if tuple(rho.dims) != (d, d):
-        raise DimensionMismatch(
-            f"dims: state has dims {tuple(rho.dims)}, generators require ({d}, {d})"
-        )
-    ops = collective(gens).ops
-    eye = np.eye(d * d)
-    acc = -4.0 * (d - 1) * eye.astype(np.complex128)
-    for g in ops:
-        m = np.vdot(g, rho.mat).real  # Tr(G_k rho), real for Hermitian pairs
-        shifted = g - m * eye
-        acc += shifted @ shifted
-    return Witness(dims=(d, d), mat=acc)
+    if rho.dims != (d, d):
+        raise DimensionMismatch(f"dims: the variance witness needs dims ({d}, {d}), got {rho.dims}")
+    eye = np.eye(d)
+    x = partial_trace(rho.mat, rho.dims, "A") + partial_trace(rho.mat, rho.dims, "B")
+    m = x + x.conj().T - 2 * np.trace(x).real / d * eye  # Hermitian part of 2X keeps W Hermitian
+    shift = 4 - 8 / d + np.vdot(m, m).real / 2  # M is Hermitian: Tr(M^2) = ||M||_F^2
+    mat = shift * np.eye(d * d) + 4 * swap_operator(d) - 2 * (np.kron(m, eye) + np.kron(eye, m))
+    return Witness(dims=(d, d), mat=mat)
 
 
 def spin_bound(rho: "DensityMatrix", gens: GeneratorSet) -> BoundCertificate:

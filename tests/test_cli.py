@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from entcert import diagonal_twirl, fixture, load_state, save_state
+from entcert import DensityMatrix, diagonal_twirl, fixture, load_state, save_state
 
 
 def run_cli(*args):
@@ -101,6 +101,16 @@ def test_spin_bound_singlet(tmp_path):
     assert out["dsep_lower"] == pytest.approx(4 / np.sqrt(240), abs=1e-10)
 
 
+def test_spin_bound_rejects_unequal_dims(tmp_path):
+    path = tmp_path / "mixed23.json"
+    save_state(DensityMatrix(dims=(2, 3), mat=np.eye(6) / 6), path)
+    proc = run_cli("bound", "--state", str(path), "--spin")
+    assert proc.returncode == 1
+    assert "dims:" in proc.stderr
+    assert "variance witness" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_mub_witness_output(tmp_path):
     out_path = tmp_path / "w23.json"
     proc = run_cli("mub-witness", "--d", "2", "--L", "3", "--out", str(out_path), "--quiet")
@@ -159,6 +169,15 @@ def test_missing_file_is_input_error():
     proc = run_cli("twirl", "--state", "/nonexistent/state.json")
     assert proc.returncode == 1
     assert "parse" in proc.stderr
+
+
+def test_undecodable_file_is_parse_error(tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + '{"dims": [2, 2]}'.encode("utf-16-le"))
+    proc = run_cli("twirl", "--state", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("entcert: error: parse:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_usage_exits_one():

@@ -3,6 +3,7 @@ import pytest
 
 from entcert import (
     DimensionMismatch,
+    GeneratorSet,
     InvariantViolation,
     collective,
     gellmann,
@@ -30,6 +31,13 @@ def test_gellmann_d2_is_pauli_family():
 def test_gellmann_rejects_small_dimension():
     with pytest.raises(InvariantViolation):
         gellmann(1)
+
+
+def test_generator_set_rejects_non_hermitian():
+    # traceless, with Tr(g_k^dag g_l) = 2 delta_kl, but g_0 and g_1 are not Hermitian
+    raising = np.sqrt(2) * np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(InvariantViolation, match="hermiticity"):
+        GeneratorSet(d=2, gens=[raising, raising.T, PAULIS[2]])
 
 
 def test_gellmann_sum_of_squares():

@@ -4,9 +4,11 @@ import pytest
 from entcert import (
     DensityMatrix,
     DimensionMismatch,
+    GeneratorSet,
     InvariantViolation,
     RotationSet,
     Witness,
+    collective,
     fixture,
     frobenius_inner,
     gellmann,
@@ -281,3 +283,28 @@ def test_spin_radius_constant_upper_bounds_witness_radius(rng):
             tr = np.trace(w.mat).real
             b_sq = np.vdot(w.mat, w.mat).real - tr * tr / (d * d)
             assert b_sq <= cap + 1e-6
+
+
+def _brute_force_spin_witness(rho, gens):
+    """sum_k (G_k - m_k I)^2 - 4(d-1) I from the d^2 - 1 collective operators."""
+    d = gens.d
+    eye = np.eye(d * d)
+    acc = -4.0 * (d - 1) * eye
+    for g in collective(gens).ops:
+        shifted = g - np.vdot(g, rho.mat).real * eye
+        acc = acc + shifted @ shifted
+    return acc
+
+
+def test_spin_witness_matches_collective_operator_sum():
+    rng = np.random.default_rng(7)
+    for d in range(2, 8):
+        ref = gellmann(d)
+        n = d * d - 1
+        rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        rotated = GeneratorSet(d=d, gens=np.einsum("kl,lab->kab", rot, ref.gens))
+        for _ in range(2):
+            rho = DensityMatrix(dims=(d, d), mat=random_density(rng, d * d))
+            for gens in (ref, rotated):
+                expected = _brute_force_spin_witness(rho, gens)
+                assert np.abs(spin_witness(rho, gens).mat - expected).max() <= 1e-12, f"d={d}"
