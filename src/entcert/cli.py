@@ -11,6 +11,7 @@ silenced by ``--quiet``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -145,6 +146,7 @@ def _cmd_twirl(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="entcert", description=__doc__)
     common = _Parser(add_help=False)

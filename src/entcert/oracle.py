@@ -11,6 +11,8 @@ separable state, hence always a valid upper bound on the true distance.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,15 +47,19 @@ class OracleConfig:
     convergence_tol: float = 1e-7
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvariantViolation(f"{name}: must be an integer, got {value!r}")
         if self.restarts < 1:
             raise InvariantViolation(f"restarts: must be positive, got {self.restarts}")
         if self.max_iters < 1:
             raise InvariantViolation(f"max_iters: must be positive, got {self.max_iters}")
         if self.seed < 0:
             raise InvariantViolation(f"seed: must be nonnegative, got {self.seed}")
-        if self.convergence_tol <= 0:
+        if not 0 < self.convergence_tol < math.inf:
             raise InvariantViolation(
-                f"convergence_tol: must be positive, got {self.convergence_tol}"
+                f"convergence_tol: must be positive and finite, got {self.convergence_tol}"
             )
 
 
@@ -93,39 +99,49 @@ def _simplex_lsq(q: np.ndarray, c: np.ndarray, p0: np.ndarray) -> np.ndarray:
     the support is optimal, admit the excluded atom with the most
     negative reduced cost.  No step leaves the simplex or raises the
     objective, so the iteration cap returns a point no worse than ``p0``.
+
+    Each pivot solves the KKT system of its support, in sorted index
+    order, from scratch.  The system of the full index set, bordered by
+    the unit-sum row, is built once per call, so a pivot gathers its own
+    with one ``take`` per axis; ``2Q`` and ``2c`` are exact doublings.
     """
     m = q.shape[0]
+    q2, c2 = 2.0 * q, 2.0 * c
+    kkt_all = np.ones((m + 1, m + 1))
+    kkt_all[:m, :m] = q2
+    kkt_all[m, m] = 0.0
+    rhs_all = np.append(c2, 1.0)
     p = p0.copy() if p0.any() else np.full(m, 1.0 / m)
-    support = p > _WEIGHT_FLOOR
+    rows = np.append(p > _WEIGHT_FLOOR, True)  # the unit-sum row stays
+    support = rows[:m]
     for _ in range(4 * m + 16):
-        s = np.flatnonzero(support)
-        k = s.size
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = 2.0 * q[np.ix_(s, s)].real
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.concatenate([2.0 * c[s], [1.0]])
+        r = rows.nonzero()[0]
+        s, k = r[:-1], r.size - 1
+        kkt = kkt_all.take(r, 0).take(r, 1)
+        rhs = rhs_all.take(r)
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        if not np.all(np.isfinite(sol)):
+        if not np.isfinite(sol).all():
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         z, nu = sol[:k], sol[k]
         if z.min() < -1e-12:
-            neg = np.flatnonzero(z < 0)
-            ratios = p[s[neg]] / (p[s[neg]] - z[neg])
-            p[s] += ratios.min() * (z - p[s])
-            p[s[neg[np.argmin(ratios)]]] = 0.0
+            neg = (z < 0).nonzero()[0]
+            ps = p[s]
+            pn = ps[neg]
+            ratios = pn / (pn - z[neg])
+            first = ratios.argmin()
+            p[s] = ps + ratios[first] * (z - ps)
+            p[s[neg[first]]] = 0.0
             support &= p > _WEIGHT_FLOOR
             p[~support] = 0.0
             continue
         p[s] = np.maximum(z, 0.0)
-        grad = 2.0 * (q @ p) - 2.0 * c
-        excluded = np.flatnonzero(~support)
+        excluded = (~support).nonzero()[0]
         if excluded.size:
-            reduced = grad[excluded] + nu
-            worst = int(np.argmin(reduced))
+            reduced = (q2 @ p - c2)[excluded] + nu
+            worst = reduced.argmin()
             if reduced[worst] < -1e-9:
                 support[excluded[worst]] = True
                 continue

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from entcert import DensityMatrix, diagonal_twirl, fixture, load_state, save_state
+from entcert.cli import _build_parser, main
 
 
 def run_cli(*args):
@@ -209,3 +210,20 @@ def test_twirl_stdout_is_the_out_file_and_keeps_float_signs(tmp_path, paper_file
     assert sum(x == 0.0 and s < 0 for x, s in zip(entries, signs)) == 12
     assert [math.copysign(1.0, x) for x in entries] == signs
     assert load_state(out).mat.tobytes() == expected.tobytes()
+
+
+def test_main_reuses_parser_across_calls(paper_files, capsys):
+    state, _ = paper_files
+    calls = (["bound", "--state", str(state), "--spin", "--quiet"], ["twirl", "--state", str(state), "--quiet"])
+
+    def stdout_of(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    before = [stdout_of(argv) for argv in calls]
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--state", str(state)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: entcert bound")
+    assert [stdout_of(argv) for argv in calls] == before
+    assert _build_parser() is _build_parser()

@@ -16,6 +16,7 @@ from entcert import (
     ppt_check,
     spin_bound,
 )
+from entcert.oracle import _simplex_lsq
 
 from conftest import haar_vector, product_columns, random_density
 
@@ -51,6 +52,59 @@ def test_config_validation():
         OracleConfig(convergence_tol=0.0)
     with pytest.raises(InvariantViolation):
         OracleConfig(seed=-1)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvariantViolation, match="^convergence_tol:"):
+            OracleConfig(convergence_tol=bad)
+    for name in ("restarts", "max_iters", "seed"):
+        for bad in (2.5, 3.0, True, "3", None):
+            with pytest.raises(InvariantViolation, match=f"^{name}:"):
+                OracleConfig(**{name: bad})
+    assert OracleConfig(restarts=np.int64(2), seed=np.int64(5)).restarts == 2
+
+
+def _gram_problem(rng, dims, m, repeat=False):
+    """Weight problem of m Haar product atoms against a Wishart state."""
+    da, db = dims
+    a = np.stack([haar_vector(rng, da) for _ in range(m)], axis=1)
+    b = np.stack([haar_vector(rng, db) for _ in range(m)], axis=1)
+    if repeat:  # the last atom repeats the first: a singular KKT system
+        a[:, -1], b[:, -1] = a[:, 0], b[:, 0]
+    x = product_columns(a, b)
+    rho = random_density(rng, da * db)
+    q = np.abs(a.conj().T @ a) ** 2 * np.abs(b.conj().T @ b) ** 2
+    c = np.einsum("di,di->i", x.conj(), rho @ x).real
+    return q, c
+
+
+def _assert_kkt_point(q, c, p0):
+    m = q.shape[0]
+    start = p0 if p0.any() else np.full(m, 1.0 / m)
+    p = _simplex_lsq(q, c, p0)
+    assert p.min() >= 0.0
+    assert abs(p.sum() - 1.0) <= 1e-12
+    objective = lambda v: v @ q @ v - 2 * c @ v
+    assert objective(p) <= objective(start) + 1e-15
+    grad = 2 * q @ p - 2 * c
+    on = p > 0
+    nu = -grad[on].mean()
+    assert np.abs(grad[on] + nu).max() <= 1e-9
+    assert (grad[~on] + nu).min(initial=0.0) >= -1e-9
+
+
+def test_simplex_lsq_returns_kkt_point(rng, monkeypatch):
+    for dims in [(2, 2), (2, 3), (3, 3)]:
+        m = 3 * dims[0] * dims[1]
+        q, c = _gram_problem(rng, dims, m)
+        warm = np.zeros(m)
+        warm[: m // 2] = rng.random(m // 2)
+        _assert_kkt_point(q, c, np.zeros(m))
+        _assert_kkt_point(q, c, warm / warm.sum())
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: lstsq_calls.append(1) or lstsq(*a, **k))
+    q, c = _gram_problem(rng, (2, 2), 8, repeat=True)
+    _assert_kkt_point(q, c, np.zeros(8))  # the uniform start holds both copies
+    assert lstsq_calls
 
 
 def test_oracle_separable_state_reaches_zero():
