@@ -1,8 +1,14 @@
 """Central tolerance settings.
 
-Every module validates against the same record so that a tolerance change
-propagates consistently.  The defaults are tuned for double precision and
-matrices up to roughly 100x100.
+Every tolerance check goes through ``linalg.require``, and most read
+their tolerance from this record, so that a tolerance change propagates
+consistently.  The defaults are tuned for double precision and matrices
+up to roughly 100x100.  Six checks keep a literal at their single call
+site, because no field here has that value: tracelessness of generators
+(1e-12), unbiasedness of bases and the imaginary part of Tr(W rho) (1e-9),
+the relative slack on a radius override (1e-12), and the positivity
+(1e-15) and order (1e-12) of Schmidt coefficients.  A field for each
+would add options that nothing sets.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ class Tolerances:
     hermiticity: float = 1e-10   # max |A - A^dag| entry admitted as Hermitian
     trace: float = 1e-10         # |Tr(rho) - 1| admitted for states
     psd: float = 1e-10           # eigenvalues >= -psd count as positive
-    unit_norm: float = 1e-10     # | ||v|| - 1 | admitted for state vectors
+    unit_norm: float = 1e-10     # | ||v|| - 1 | for state vectors, Gram defects of bases
 
 
 TOLS = Tolerances()

@@ -12,11 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import _require_hermitian, as_matrix, kron
-
-_TRACELESS_TOL = 1e-12
-_ORTHO_TOL = 1e-10
+from .linalg import as_matrix, as_stack, kron, require
 
 
 @dataclass
@@ -27,25 +25,20 @@ class GeneratorSet:
     gens: np.ndarray  # shape (d**2 - 1, d, d)
 
     def __post_init__(self):
-        self.gens = np.asarray(self.gens, dtype=np.complex128)
+        self.gens = as_stack(self.gens, np.complex128, "generators")
         n = self.d * self.d - 1
         if self.gens.shape != (n, self.d, self.d):
             raise InvariantViolation(
                 f"shape: expected {n} generators of size {self.d}x{self.d}, got {self.gens.shape}"
             )
-        _require_hermitian(self.gens, "generator set")
-        traces = np.abs(np.trace(self.gens, axis1=1, axis2=2))
-        if traces.max() > _TRACELESS_TOL:
-            raise InvariantViolation(
-                f"tracelessness: max |Tr g_k| = {traces.max():.3e} exceeds {_TRACELESS_TOL:.1e}"
-            )
+        defect = np.abs(self.gens - self.gens.conj().swapaxes(1, 2)).max()
+        require(defect, TOLS.hermiticity, "hermiticity: generator set has max |A - A^dag|")
+        defect = np.abs(np.trace(self.gens, axis1=1, axis2=2)).max()
+        require(defect, 1e-12, "tracelessness: max |Tr g_k|")
         flat = self.gens.reshape(n, -1)
         gram = flat.conj() @ flat.T  # Tr(g_k^dag g_l) = Tr(g_k g_l) for Hermitian g_k
         defect = np.abs(gram - 2 * np.eye(n)).max()
-        if defect > _ORTHO_TOL:
-            raise InvariantViolation(
-                f"orthogonality: max |Tr(g_k g_l) - 2 delta_kl| = {defect:.3e} exceeds {_ORTHO_TOL:.1e}"
-            )
+        require(defect, TOLS.unit_norm, "orthogonality: max |Tr(g_k g_l) - 2 delta_kl|")
 
 
 @dataclass

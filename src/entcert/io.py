@@ -26,9 +26,10 @@ from .states import DensityMatrix, bell_state, singlet_state
 from .witnesses import Witness
 
 
-def complex_pairs(vec) -> list[list[float]]:
-    """``[re, im]`` pairs of the entries of a complex vector."""
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=np.complex128)]
+def complex_pairs(arr) -> list:
+    """``[re, im]`` pairs of the entries of a complex array, nested as the array is."""
+    arr = np.asarray(arr, dtype=np.complex128)
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def matrix_payload(dims: tuple[int, int], mat: np.ndarray, kind: str | None = None) -> dict:
@@ -36,7 +37,7 @@ def matrix_payload(dims: tuple[int, int], mat: np.ndarray, kind: str | None = No
     payload: dict = {"dims": [int(dims[0]), int(dims[1])]}
     if kind is not None:
         payload["kind"] = kind
-    payload["matrix"] = [complex_pairs(row) for row in np.asarray(mat)]
+    payload["matrix"] = complex_pairs(mat)
     return payload
 
 

@@ -3,9 +3,10 @@
 Hilbert-Schmidt inner products and norms, Kronecker products, partial
 trace/transpose over a bipartite splitting, Hermitian eigendecomposition
 and SVD, plus the dims and Hermiticity checks shared by the bipartite
-types.  Matrices are plain ``numpy`` arrays of ``complex128``; the
-eigen/SVD work is delegated to LAPACK, the contract here is the residual
-bound, not the algorithm.
+types and ``require``, the one tolerance check that every constructor
+invariant goes through.  Matrices are plain ``numpy`` arrays of
+``complex128``; the eigen/SVD work is delegated to LAPACK, the contract
+here is the residual bound, not the algorithm.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation, NumericalError
 
 
+def require(defect: float, tol: float, what: str) -> None:
+    """Raise unless ``defect <= tol``; a NaN defect always fails."""
+    if not defect <= tol:
+        raise InvariantViolation(f"{what} = {defect:.3e} exceeds {tol:.1e}")
+
+
 def as_matrix(entries) -> np.ndarray:
     """Coerce to a finite complex128 2-d array."""
     mat = np.asarray(entries, dtype=np.complex128)
@@ -26,6 +33,21 @@ def as_matrix(entries) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise InvariantViolation("finiteness: matrix contains NaN or Inf entries")
     return mat
+
+
+def as_stack(entries, dtype, what: str) -> np.ndarray:
+    """Coerce to a finite ``(L, d, d)`` stack of square matrices with L >= 1."""
+    try:
+        stack = np.asarray(entries, dtype=dtype)
+    except ValueError as exc:  # ragged or mixed-size nesting
+        raise InvariantViolation(f"shape: {what} are not equal-size square matrices") from exc
+    if stack.ndim != 3 or not stack.shape[0] or stack.shape[1] != stack.shape[2]:
+        raise InvariantViolation(
+            f"shape: {what} must be a nonempty stack of square matrices, got {stack.shape}"
+        )
+    if not np.all(np.isfinite(stack)):
+        raise InvariantViolation(f"finiteness: {what} contain NaN or Inf entries")
+    return stack
 
 
 def bipartite_dims(dims) -> tuple[int, int]:
@@ -46,7 +68,8 @@ def bipartite_operator(dims, entries, what: str) -> tuple[tuple[int, int], np.nd
     d = dims[0] * dims[1]
     if mat.shape != (d, d):
         raise DimensionMismatch(f"dims: {what} is {mat.shape}, dims {dims} require {(d, d)}")
-    _require_hermitian(mat, what)
+    defect = np.abs(mat - mat.conj().T).max()
+    require(defect, TOLS.hermiticity, f"hermiticity: {what} has max |A - A^dag|")
     mat = mat.copy()
     mat.setflags(write=False)  # safe to share across concurrent readers
     return dims, mat
@@ -55,14 +78,6 @@ def bipartite_operator(dims, entries, what: str) -> tuple[tuple[int, int], np.nd
 def _require_square(mat: np.ndarray, what: str = "matrix") -> None:
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"shape: {what} must be square, got {mat.shape}")
-
-
-def _require_hermitian(mat: np.ndarray, what: str, tol: float = TOLS.hermiticity) -> None:
-    defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
-    if defect > tol:
-        raise InvariantViolation(
-            f"hermiticity: {what} has max |A - A^dag| = {defect:.3e} > {tol:.1e}"
-        )
 
 
 def frobenius_inner(a, b) -> complex:
@@ -119,17 +134,18 @@ def partial_transpose(rho, dims: tuple[int, int], on: str) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def hermitian_eig(a, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v``
     such that ``a = v @ diag(w) @ v^dag`` up to the residual tolerance.
     The input is symmetrized before factorization; inputs further than
-    ``tol`` from Hermitian are rejected.
+    ``TOLS.hermiticity`` from Hermitian are rejected.
     """
     a = as_matrix(a)
     _require_square(a)
-    _require_hermitian(a, "matrix", TOLS.hermiticity if tol is None else tol)
+    defect = np.abs(a - a.conj().T).max()
+    require(defect, TOLS.hermiticity, "hermiticity: matrix has max |A - A^dag|")
     try:
         w, v = np.linalg.eigh((a + a.conj().T) / 2)
     except np.linalg.LinAlgError as exc:

@@ -21,7 +21,7 @@ bounds on concurrence and entanglement of formation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,12 +39,7 @@ class MeasureBounds:
     geometric_lower: float
 
     def to_json(self) -> dict:
-        return {
-            "dsep_lower": self.dsep_lower,
-            "concurrence_lower": self.concurrence_lower,
-            "eof_lower": self.eof_lower,
-            "geometric_lower": self.geometric_lower,
-        }
+        return asdict(self)
 
 
 def dsep_pure(lam: SchmidtVector) -> float:

@@ -24,6 +24,7 @@ from .linalg import hermitian_eig, partial_transpose
 from .states import DensityMatrix
 
 _WEIGHT_FLOOR = 1e-14
+_REFINE_ROUNDS = 3  # alternating eigenvector rounds per candidate in _top_products
 
 
 def ppt_check(rho: DensityMatrix) -> tuple[bool, float]:
@@ -81,9 +82,9 @@ class OracleResult:
             "iterations_used": self.iterations_used,
             "converged": self.converged,
             "ensemble": {
-                "weights": [float(w) for w in self.weights],
-                "vectors_a": [complex_pairs(v) for v in self.vectors_a.T],
-                "vectors_b": [complex_pairs(v) for v in self.vectors_b.T],
+                "weights": self.weights.tolist(),
+                "vectors_a": complex_pairs(self.vectors_a.T),
+                "vectors_b": complex_pairs(self.vectors_b.T),
             },
             "sigma": matrix_payload(self.sigma.dims, self.sigma.mat),
         }
@@ -160,13 +161,13 @@ def _product_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(da * db, m)
 
 
-def _top_products(r4: np.ndarray, a: np.ndarray, b: np.ndarray, rounds: int = 3):
+def _top_products(r4: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Alternating top-eigenvector search for the best product directions.
 
     ``a`` and ``b`` hold one candidate per column; all columns are refined
     against the same matrix in a few batched eigendecompositions.
     """
-    for _ in range(rounds):
+    for _ in range(_REFINE_ROUNDS):
         ma = np.einsum("ijkl,jn,ln->nik", r4, b.conj(), b)
         ma = (ma + np.conj(np.swapaxes(ma, 1, 2))) / 2
         a = np.linalg.eigh(ma)[1][:, :, -1].T

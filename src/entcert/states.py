@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import bipartite_dims, bipartite_operator, svd
+from .linalg import as_matrix, bipartite_dims, bipartite_operator, require, svd
 
 
 @dataclass
@@ -27,16 +27,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         self.dims, self.mat = bipartite_operator(self.dims, self.mat, "matrix")
-        tr = np.trace(self.mat)
-        if abs(tr - 1.0) > TOLS.trace:
-            raise InvariantViolation(
-                f"trace: Tr(rho) = {tr.real:.12g} differs from 1 by {abs(tr - 1.0):.3e}"
-            )
-        lo = float(np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)[0])
-        if lo < -TOLS.psd:
-            raise InvariantViolation(
-                f"positivity: minimum eigenvalue {lo:.3e} is below -{TOLS.psd:.1e}"
-            )
+        require(abs(np.trace(self.mat) - 1.0), TOLS.trace, "trace: |Tr(rho) - 1|")
+        lo = np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)[0]
+        require(-lo, TOLS.psd, "positivity: minus the minimum eigenvalue")
 
 
 @dataclass
@@ -48,19 +41,13 @@ class PureState:
 
     def __post_init__(self):
         self.dims = bipartite_dims(self.dims)
-        vec = np.asarray(self.vec, dtype=np.complex128).reshape(-1)
+        vec = as_matrix(np.reshape(self.vec, (1, -1)))[0]
         d = self.dims[0] * self.dims[1]
         if vec.shape != (d,):
             raise DimensionMismatch(
                 f"dims: vector has length {vec.shape[0]}, dims {self.dims} require {d}"
             )
-        if not np.all(np.isfinite(vec)):
-            raise InvariantViolation("finiteness: state vector contains NaN or Inf")
-        nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > TOLS.unit_norm:
-            raise InvariantViolation(
-                f"norm: ||psi|| = {nrm:.12g} differs from 1 by {abs(nrm - 1.0):.3e}"
-            )
+        require(abs(np.linalg.norm(vec) - 1.0), TOLS.unit_norm, "norm: | ||psi|| - 1 |")
         vec = vec.copy()
         vec.setflags(write=False)
         self.vec = vec
@@ -79,15 +66,10 @@ class SchmidtVector:
         c = np.asarray(self.coeffs, dtype=float).reshape(-1)
         if c.size == 0:
             raise InvariantViolation("shape: empty coefficient vector")
-        if c.min() < -1e-15:
-            raise InvariantViolation(f"positivity: negative coefficient {c.min():.3e}")
-        if np.any(np.diff(c) > 1e-12):
-            raise InvariantViolation("order: coefficients must be descending")
-        s = float(c.sum())
-        if abs(s - 1.0) > TOLS.unit_norm:
-            raise InvariantViolation(
-                f"normalization: coefficients sum to {s:.12g}, off by {abs(s - 1.0):.3e}"
-            )
+        # positivity first, so the sum and differences below meet no -inf or NaN
+        require(-c.min(), 1e-15, "positivity: minus the smallest coefficient")
+        require(abs(c.sum() - 1.0), TOLS.unit_norm, "normalization: |sum of coefficients - 1|")
+        require(np.max(np.diff(c), initial=0.0), 1e-12, "order: largest rise between coefficients")
         self.coeffs = np.maximum(c, 0.0)
 
     @property

@@ -14,7 +14,7 @@ generator identities it needs only the marginals, the swap and ``gens.d``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
 from .generators import GeneratorSet, swap_operator
-from .linalg import bipartite_operator, frobenius_inner, partial_trace
+from .linalg import as_stack, bipartite_operator, frobenius_inner, partial_trace, require
 
 if TYPE_CHECKING:
     from .states import DensityMatrix
@@ -62,12 +62,7 @@ class BoundCertificate:
     certified: bool
 
     def to_json(self) -> dict:
-        return {
-            "witness_value": self.witness_value,
-            "b_used": self.b_used,
-            "dsep_lower": self.dsep_lower,
-            "certified": self.certified,
-        }
+        return asdict(self)
 
 
 def normalize_witness(w: Witness) -> WitnessNormalization:
@@ -100,16 +95,13 @@ def generic_bound(
     if b_override is None:
         b_used = b_true
     else:
-        if b_override < b_true * (1 - 1e-12):
-            raise InvariantViolation(
-                f"radius: override {b_override:.6g} is below the witness radius {b_true:.6g}"
-            )
         b_used = float(b_override)
+        if not np.isfinite(b_used):
+            raise InvariantViolation(f"radius: override must be finite, got {b_used}")
+        what = f"radius: shortfall of the override {b_used:.6g} below the radius {b_true:.6g}"
+        require(b_true - b_used, 1e-12 * b_true, what)
     value = frobenius_inner(w.mat, rho.mat)
-    if abs(value.imag) > 1e-9:
-        raise InvariantViolation(
-            f"hermiticity: Tr(W rho) has imaginary part {value.imag:.3e}"
-        )
+    require(abs(value.imag), 1e-9, "hermiticity: |Im Tr(W rho)|")
     wv = value.real
     return BoundCertificate(
         witness_value=wv,
@@ -145,27 +137,19 @@ class MubFamily:
     bases: list[np.ndarray]
 
     def __post_init__(self):
-        self.bases = [np.asarray(b, dtype=np.complex128) for b in self.bases]
-        eye = np.eye(self.d)
-        for idx, b in enumerate(self.bases):
-            if b.shape != (self.d, self.d):
-                raise InvariantViolation(
-                    f"shape: basis {idx} is {b.shape}, expected {(self.d, self.d)}"
-                )
-            defect = np.abs(b.conj().T @ b - eye).max()
-            if defect > TOLS.unit_norm:
-                raise InvariantViolation(
-                    f"orthonormality: basis {idx} defect {defect:.3e} exceeds {TOLS.unit_norm:.1e}"
-                )
-        target = 1.0 / np.sqrt(self.d)
-        for i in range(len(self.bases)):
-            for j in range(i + 1, len(self.bases)):
-                overlaps = np.abs(self.bases[i].conj().T @ self.bases[j])
-                defect = np.abs(overlaps - target).max()
-                if defect > 1e-9:
-                    raise InvariantViolation(
-                        f"unbiasedness: bases {i},{j} overlap defect {defect:.3e} exceeds 1e-09"
-                    )
+        stack = as_stack(self.bases, np.complex128, "bases")
+        d, count = self.d, len(stack)
+        if stack.shape[1:] != (d, d):
+            raise InvariantViolation(f"shape: bases are {stack.shape[1:]}, expected {(d, d)}")
+        # entry (a, k, b, l) of the joint Gram matrix is <a_k|b_l>
+        flat = stack.transpose(1, 0, 2).reshape(d, count * d)
+        gram = (flat.conj().T @ flat).reshape(count, d, count, d).transpose(0, 2, 1, 3)
+        same = np.eye(count, dtype=bool)
+        defect = np.abs(gram[same] - np.eye(d)).max()
+        require(defect, TOLS.unit_norm, "orthonormality: max |B_a^dag B_a - I|")
+        defect = np.max(np.abs(np.abs(gram[~same]) - 1 / np.sqrt(d)), initial=0.0)
+        require(defect, 1e-9, "unbiasedness: max ||<a_k|b_l>| - 1/sqrt(d)| over a != b")
+        self.bases = list(stack)
 
 
 def mub_family(d: int, count: int) -> MubFamily:
@@ -200,22 +184,14 @@ class RotationSet:
     mats: list[np.ndarray]
 
     def __post_init__(self):
-        self.mats = [np.asarray(m, dtype=float) for m in self.mats]
-        for idx, m in enumerate(self.mats):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise InvariantViolation(f"shape: rotation {idx} is not square: {m.shape}")
-            d = m.shape[0]
-            defect = np.abs(m.T @ m - np.eye(d)).max()
-            if defect > TOLS.hermiticity:
-                raise InvariantViolation(
-                    f"orthogonality: rotation {idx} defect {defect:.3e} exceeds {TOLS.hermiticity:.1e}"
-                )
-            axis = np.full(d, 1 / np.sqrt(d))
-            drift = np.abs(m @ axis - axis).max()
-            if drift > TOLS.hermiticity:
-                raise InvariantViolation(
-                    f"axis: rotation {idx} moves the uniform axis by {drift:.3e}"
-                )
+        stack = as_stack(self.mats, float, "rotations")
+        d = stack.shape[1]
+        defect = np.abs(stack.swapaxes(1, 2) @ stack - np.eye(d)).max()
+        require(defect, TOLS.unit_norm, "orthogonality: max |O^T O - I|")
+        axis = np.full(d, 1 / np.sqrt(d))
+        defect = np.abs(stack @ axis - axis).max()
+        require(defect, TOLS.unit_norm, "axis: max |O u - u| for the uniform axis u")
+        self.mats = list(stack)
 
     @classmethod
     def identity(cls, d: int, count: int) -> "RotationSet":
@@ -234,10 +210,10 @@ def mub_witness(mubs: MubFamily, rotations: RotationSet) -> Witness:
         raise DimensionMismatch(
             f"count: {len(rotations.mats)} rotations for {count} bases"
         )
+    if rotations.mats[0].shape != (d, d):
+        raise DimensionMismatch(f"shape: rotations are {rotations.mats[0].shape}, need {(d, d)}")
     acc = np.zeros((d * d, d * d), dtype=np.complex128)
     for basis, rot in zip(mubs.bases, rotations.mats):
-        if rot.shape != (d, d):
-            raise DimensionMismatch(f"shape: rotation is {rot.shape}, expected {(d, d)}")
         # column (l, k) is conj(b_l) (x) b_k, so the sum is cols diag(O^T) cols^dag
         cols = np.einsum("il,jk->ijlk", basis.conj(), basis).reshape(d * d, d * d)
         acc += (cols * rot.T.reshape(-1)) @ cols.conj().T

@@ -1,5 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def runtime_warnings_are_errors():
+    """A numpy invalid-value, divide-by-zero or overflow warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
 
 
 def haar_vector(rng, d):

@@ -40,6 +40,25 @@ def test_generator_set_rejects_non_hermitian():
         GeneratorSet(d=2, gens=[raising, raising.T, PAULIS[2]])
 
 
+def test_generator_set_validation():
+    with pytest.raises(InvariantViolation, match="^tracelessness:"):
+        GeneratorSet(d=2, gens=[PAULIS[0], PAULIS[1], np.eye(2)])
+    with pytest.raises(InvariantViolation, match="^orthogonality:"):
+        GeneratorSet(d=2, gens=[PAULIS[0], PAULIS[1], PAULIS[0]])
+    with pytest.raises(InvariantViolation, match="^orthogonality:"):
+        GeneratorSet(d=2, gens=[PAULIS[0], PAULIS[1], 2 * PAULIS[2]])
+    for bad in (np.nan, np.inf, -np.inf):
+        gens = np.array(PAULIS)
+        gens[2, 0, 0] = bad
+        with pytest.raises(InvariantViolation, match="^finiteness:"):
+            GeneratorSet(d=2, gens=gens)
+    with pytest.raises(InvariantViolation, match="^finiteness:"):
+        GeneratorSet(d=2, gens=np.full((3, 2, 2), np.nan))
+    for d, gens in ((2, PAULIS[:2]), (2, []), (1, np.zeros((0, 1, 1)))):
+        with pytest.raises(InvariantViolation, match="^shape:"):
+            GeneratorSet(d=d, gens=gens)
+
+
 def test_gellmann_sum_of_squares():
     sq2 = np.einsum("kab,kbc->ac", gellmann(2).gens, gellmann(2).gens)
     assert np.abs(sq2 - 3 * np.eye(2)).max() < 1e-14

@@ -69,6 +69,9 @@ def test_constructors_reject_nonpositive_dims(kind, dims):
 def test_pure_state_norm_invariant():
     with pytest.raises(InvariantViolation, match="norm"):
         PureState(dims=(2, 2), vec=np.array([1.0, 1.0, 0.0, 0.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvariantViolation, match="^finiteness:"):
+            PureState(dims=(2, 2), vec=np.array([bad, 0.0, 0.0, 0.0]))
 
 
 def test_schmidt_vector_invariants():
@@ -78,6 +81,14 @@ def test_schmidt_vector_invariants():
         SchmidtVector(coeffs=[0.5, 0.4])
     sv = SchmidtVector(coeffs=[0.7, 0.3])
     assert sv.largest == 0.7
+    with pytest.raises(InvariantViolation, match="^positivity:"):
+        SchmidtVector(coeffs=[1.0, -0.01])
+    for bad in ([np.nan], [1.0, np.nan], [np.nan, 1.0], [-np.inf], [np.inf, -np.inf]):
+        with pytest.raises(InvariantViolation, match="^positivity:"):
+            SchmidtVector(coeffs=bad)
+    for bad in ([np.inf], [np.inf, np.inf], [np.inf, 0.5]):
+        with pytest.raises(InvariantViolation, match="^normalization:"):
+            SchmidtVector(coeffs=bad)
 
 
 def test_schmidt_product_state():

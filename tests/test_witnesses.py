@@ -6,6 +6,7 @@ from entcert import (
     DimensionMismatch,
     GeneratorSet,
     InvariantViolation,
+    MubFamily,
     RotationSet,
     Witness,
     collective,
@@ -93,6 +94,9 @@ def test_generic_bound_override_semantics():
     assert weaker.dsep_lower == pytest.approx((2 / 15) / 10.0, abs=1e-15)
     with pytest.raises(InvariantViolation, match="radius"):
         generic_bound(w, rho, b_override=1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvariantViolation, match="^radius:"):
+            generic_bound(w, rho, b_override=bad)
 
 
 def test_generic_bound_dimension_mismatch():
@@ -125,6 +129,22 @@ def test_mub_family_qutrit_overlaps():
                 assert np.abs(overlaps - np.eye(3)).max() < 1e-12
             else:
                 assert np.abs(overlaps - 1 / np.sqrt(3)).max() < 1e-9
+
+
+def test_mub_family_validation():
+    eye = np.eye(2)
+    plus = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    assert len(MubFamily(d=2, bases=[eye, plus]).bases) == 2
+    with pytest.raises(InvariantViolation, match="^orthonormality:"):
+        MubFamily(d=2, bases=[eye, np.ones((2, 2))])
+    with pytest.raises(InvariantViolation, match="^unbiasedness:"):
+        MubFamily(d=2, bases=[eye, plus, eye[:, ::-1]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvariantViolation, match="^finiteness:"):
+            MubFamily(d=2, bases=[eye, np.full((2, 2), bad)])
+    for bases in ([], [eye, np.eye(3)], [eye[0]], [np.eye(3)]):
+        with pytest.raises(InvariantViolation, match="^shape:"):
+            MubFamily(d=2, bases=bases)
 
 
 def test_mub_family_rejects_composite():
@@ -174,11 +194,20 @@ def test_rotation_validation():
     # orthogonal but moves the uniform axis
     with pytest.raises(InvariantViolation, match="axis"):
         RotationSet(mats=[np.diag([1.0, -1.0])])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvariantViolation, match="^finiteness:"):
+            RotationSet(mats=[np.eye(2), np.full((2, 2), bad)])
+    ragged = [[[1.0, 0.0], [0.0]]]
+    for mats in ([], [np.eye(2), np.eye(3)], ragged, [np.ones((2, 3))], [np.ones(2)]):
+        with pytest.raises(InvariantViolation, match="^shape:"):
+            RotationSet(mats=mats)
 
 
 def test_mub_witness_rotation_count_mismatch():
     with pytest.raises(DimensionMismatch):
         mub_witness(mub_family(2, 3), RotationSet.identity(2, 2))
+    with pytest.raises(DimensionMismatch, match="^shape:"):
+        mub_witness(mub_family(2, 3), RotationSet.identity(3, 3))
 
 
 def test_mub_bound_paper_values():
