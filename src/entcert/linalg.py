@@ -36,11 +36,23 @@ def as_matrix(entries) -> np.ndarray:
 
 
 def as_stack(entries, dtype, what: str) -> np.ndarray:
-    """Coerce to a finite ``(L, d, d)`` stack of square matrices with L >= 1."""
+    """Coerce to a finite ``(L, d, d)`` stack of square matrices with L >= 1.
+
+    A real ``dtype`` refuses entries with a nonzero imaginary part rather
+    than drop it.
+    """
     try:
-        stack = np.asarray(entries, dtype=dtype)
+        stack = np.asarray(entries)
     except ValueError as exc:  # ragged or mixed-size nesting
         raise InvariantViolation(f"shape: {what} are not equal-size square matrices") from exc
+    if np.iscomplexobj(stack) and not np.issubdtype(dtype, np.complexfloating):
+        if np.any(stack.imag):
+            raise InvariantViolation(f"realness: {what} have entries with a nonzero imaginary part")
+        stack = stack.real
+    try:
+        stack = stack.astype(dtype, copy=False)
+    except (TypeError, ValueError) as exc:  # non-numeric entries
+        raise InvariantViolation(f"type: {what} are not numeric matrices") from exc
     if stack.ndim != 3 or not stack.shape[0] or stack.shape[1] != stack.shape[2]:
         raise InvariantViolation(
             f"shape: {what} must be a nonempty stack of square matrices, got {stack.shape}"

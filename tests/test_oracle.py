@@ -1,3 +1,9 @@
+import ctypes
+import multiprocessing
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +22,7 @@ from entcert import (
     ppt_check,
     spin_bound,
 )
+from entcert import oracle
 from entcert.oracle import _simplex_lsq
 
 from conftest import haar_vector, product_columns, random_density
@@ -180,13 +187,102 @@ def test_oracle_monotone_in_restarts():
     assert all(values[i + 1] <= values[i] + 1e-15 for i in range(3))
 
 
-def test_oracle_deterministic():
+def _serial_reference(rho, cfg):
+    """Every restart in this process, in order, and the winner by dsep_upper's rule."""
+    outcomes = [
+        oracle._run_restart(
+            rho.mat, rho.dims, np.random.default_rng([cfg.seed, r]), cfg.max_iters, cfg.convergence_tol
+        )
+        for r in range(cfg.restarts)
+    ]
+    best = None
+    for outcome in outcomes:
+        if best is None or outcome[0] < best[0]:
+            best = outcome
+    return outcomes, best
+
+
+def _assert_same_bytes(res, outcome):
+    obj, sigma, weights, avecs, bvecs, iters, converged = outcome
+    assert np.float64(res.dsep_upper).tobytes() == np.float64(obj).tobytes()
+    assert (res.iterations_used, res.converged) == (iters, converged)
+    for got, want in ((res.sigma.mat, sigma), (res.weights, weights),
+                      (res.vectors_a, avecs), (res.vectors_b, bvecs)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_oracle_deterministic(rng):
     rho = fixture("bell(2)")
     cfg = OracleConfig(restarts=2, max_iters=100, convergence_tol=1e-9, seed=9)
     a = dsep_upper(rho, cfg)
     b = dsep_upper(rho, cfg)
     assert a.dsep_upper == b.dsep_upper
     assert np.array_equal(a.sigma.mat, b.sigma.mat)
+    # pooled or inline, the result is the serial loop's winner, byte for byte
+    wishart = DensityMatrix(dims=(2, 3), mat=random_density(rng, 6))
+    for state in (wishart, rho):
+        for restarts in (1, 2, 3):
+            cfg = OracleConfig(restarts=restarts, max_iters=100, convergence_tol=1e-9, seed=9)
+            outcomes, best = _serial_reference(state, cfg)
+            _assert_same_bytes(dsep_upper(state, cfg), best)
+        assert len({o[0] for o in outcomes}) == 3  # tie-free, so the winner is unique
+        assert best is not outcomes[0]  # and it is not simply the first restart
+
+
+def test_oracle_worker_error_reaches_caller():
+    rho = DensityMatrix(dims=(2, 2), mat=np.eye(4) / 4)
+    rho.dims = (2, 3)  # a 4x4 matrix the restarts cannot reshape
+    with pytest.raises(ValueError, match="reshape"):
+        dsep_upper(rho, OracleConfig(restarts=3, max_iters=5))
+    pool = oracle._POOL
+    rho.dims = (2, 2)
+    assert dsep_upper(rho, FAST).dsep_upper <= 1e-6
+    assert oracle._POOL is pool  # an error in a restart leaves the workers alive
+
+
+def test_oracle_replaces_a_broken_pool():
+    rho = fixture("bell(2)")
+    cfg = OracleConfig(restarts=3, max_iters=100, convergence_tol=1e-9, seed=9)
+    pool = oracle._restart_pool()
+    if pool is None:
+        pytest.skip("restarts run inline: one usable core, not Linux, or no OpenBLAS setter")
+    dsep_upper(rho, cfg)  # every worker forked and idle
+    for worker in multiprocessing.active_children():  # the pool's workers are our only children
+        worker.kill()
+    _assert_same_bytes(dsep_upper(rho, cfg), _serial_reference(rho, cfg)[1])
+    assert oracle._POOL is not pool
+    _assert_same_bytes(dsep_upper(rho, cfg), _serial_reference(rho, cfg)[1])
+
+
+def _blas_threads():
+    """Thread count of numpy's OpenBLAS in this process."""
+    for lib in sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(handle, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return getter()
+    raise LookupError("no OpenBLAS thread count in numpy.libs")
+
+
+def test_pool_workers_run_one_blas_thread():
+    pool = oracle._restart_pool()
+    if pool is None:
+        pytest.skip("restarts run inline: one usable core, not Linux, or no OpenBLAS setter")
+    caller = _blas_threads()
+    assert [f.result(timeout=60) for f in [pool.submit(_blas_threads) for _ in range(8)]] == [1] * 8
+    assert _blas_threads() == caller  # the caller's own setting is left alone
+
+
+def test_import_builds_no_pool():
+    # the pool modules take about 20 ms to import (2-core x86); only the first oracle call pays
+    probe = "import sys, entcert; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_oracle_ensemble_reconstructs_sigma(rng):

@@ -197,6 +197,13 @@ def test_rotation_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvariantViolation, match="^finiteness:"):
             RotationSet(mats=[np.eye(2), np.full((2, 2), bad)])
+    # a nonzero imaginary part is refused, not dropped (an ndarray) or a TypeError (a list)
+    for mats in (np.array([[[1, 0.5j], [0.5j, 1]]]), [[[1, 0.5j], [0.5j, 1]]]):
+        with pytest.raises(InvariantViolation, match="^realness:"):
+            RotationSet(mats=mats)
+    assert RotationSet(mats=np.eye(2, dtype=complex)[None]).mats[0].dtype == float
+    with pytest.raises(InvariantViolation, match="^type:"):
+        RotationSet(mats=[[["1", "0"], ["0", "x"]]])
     ragged = [[[1.0, 0.0], [0.0]]]
     for mats in ([], [np.eye(2), np.eye(3)], ragged, [np.ones((2, 3))], [np.ones(2)]):
         with pytest.raises(InvariantViolation, match="^shape:"):
