@@ -8,10 +8,11 @@ and a simplex-constrained solve re-fits all weights.  Whatever the
 optimizer reaches, the returned value is a distance to an explicitly
 separable state, hence always a valid upper bound on the true distance.
 
-The restarts are independent.  On Linux, with more than one usable core
-and the OpenBLAS that numpy bundles, they run on a pool of forked worker
-processes, one per core, each pinned to one BLAS thread; elsewhere they
-run one after another in the calling process.
+The restarts are independent.  On Linux, on Python before 3.12, with more
+than one usable core and the OpenBLAS that numpy bundles, they run on a
+pool of forked worker processes, at most one per core, each pinned to one
+BLAS thread; elsewhere, and in ``multiprocessing`` children, they run one
+after another in the calling process.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .states import DensityMatrix
 _WEIGHT_FLOOR = 1e-14
 _REFINE_ROUNDS = 3  # alternating eigenvector rounds per candidate in _top_products
 _POOL = None  # the restart pool, built by the first call that can use one
+_POOL_WORKERS = 0  # its worker count
 _POOL_LOCK = threading.Lock()  # guards building and replacing _POOL
 
 
@@ -240,51 +242,106 @@ def _run_restart(
     return float(np.linalg.norm(rho - sigma)), sigma, weights, avecs, bvecs, iters, converged
 
 
-@cache
-def _blas_thread_setter():
-    """``set_num_threads`` of the OpenBLAS bundled with numpy, or None without one."""
+def _openblas_function(verb: str):
+    """``{verb}_num_threads`` of the OpenBLAS bundled with numpy, or None without one."""
     libdir = Path(np.__file__).parent.with_name("numpy.libs")
     for lib in sorted(libdir.glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            setter = getattr(handle, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return setter
+        for symbol in (f"scipy_openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads64_",
+                       f"openblas_{verb}_num_threads"):
+            function = getattr(handle, symbol, None)
+            if function is not None:
+                return function
     return None
 
 
-def _restart_pool():
-    """The process-wide restart pool, built on first use; None where restarts run inline.
+@cache
+def _blas_thread_setter():
+    """``set_num_threads`` of the OpenBLAS bundled with numpy, or None without one."""
+    setter = _openblas_function("set")
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+    return setter
 
-    ``fork``, not ``spawn`` or ``forkserver``: those re-import ``__main__``
-    in each worker, which crashes a caller's script that lacks an
-    ``if __name__ == "__main__"`` guard.  Each worker pins its OpenBLAS to
-    one thread.  Unpinned, every worker starts one thread per core and the
-    workers' threads spin against each other: on a 2-core machine the
-    (4,4) oracle ran 2.3-4.8x slower than in one process.  One thread per
-    worker also makes every product round the same way on any machine.
+
+def _forget_pool():
+    """Drop the parent's pool in a forked child: its manager thread was not forked."""
+    global _POOL, _POOL_WORKERS, _POOL_LOCK
+    _POOL, _POOL_WORKERS, _POOL_LOCK = None, 0, threading.Lock()
+
+
+if sys.platform == "linux":
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool_workers(restarts: int) -> int:
+    """Workers a pool for ``restarts`` restarts gets; 0 where the restarts run inline.
+
+    Inline off Linux; on Python 3.12+, whose ``fork`` warns in a process
+    with threads, as numpy's OpenBLAS threads always make it; on one usable
+    core; without numpy's OpenBLAS; and in a ``multiprocessing`` child.  A
+    daemonic child (a ``multiprocessing.Pool`` worker) may not start
+    processes, and any other child would hang at exit: ``multiprocessing``
+    joins its children there before the pool is shut down.
     """
-    global _POOL
+    if sys.platform != "linux" or sys.version_info >= (3, 12):
+        return 0
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2 or _blas_thread_setter() is None:
+        return 0
+    mp = sys.modules.get("multiprocessing")  # a multiprocessing child has imported it
+    if mp is not None and mp.parent_process() is not None:
+        return 0
+    return min(cores, restarts)
+
+
+def _init_worker():
+    """Pin a pool worker's OpenBLAS to one thread, and end the worker with its parent.
+
+    A worker whose parent is killed (SIGKILL, the out-of-memory killer)
+    would otherwise wait on its task queue for good.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    def exit_with_parent(sentinel=multiprocessing.parent_process().sentinel):
+        wait([sentinel])
+        os._exit(1)
+
+    _blas_thread_setter()(1)
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+def _restart_pool(restarts: int):
+    """The process-wide restart pool, built or grown on demand; None where restarts run inline.
+
+    It has one worker per restart of the largest call so far, at most one
+    per usable core.  ``fork``, not ``spawn`` or ``forkserver``: those
+    re-import ``__main__`` in each worker, which crashes a caller's script
+    that lacks an ``if __name__ == "__main__"`` guard.  Each worker pins its
+    OpenBLAS to one thread (``_init_worker``).  Unpinned, every worker
+    starts one thread per core and the workers' threads spin against each
+    other: on a 2-core machine the (4,4) oracle ran 2.3-4.8x slower than in
+    one process.  One thread per worker also makes every product round the
+    same way on any machine.
+    """
+    global _POOL, _POOL_WORKERS
     with _POOL_LOCK:
-        if _POOL is None:
-            if sys.platform != "linux":
-                return None
-            workers = len(os.sched_getaffinity(0))
-            setter = _blas_thread_setter()
-            if workers < 2 or setter is None:
-                return None
+        workers = _pool_workers(restarts)
+        if not workers:
+            return None
+        if workers > _POOL_WORKERS:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
+            # a smaller pool left behind shuts down once no caller holds it
             _POOL = ProcessPoolExecutor(
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
-                initializer=setter,  # forked, so a ctypes function needs no pickling
-                initargs=(1,),
+                initializer=_init_worker,
             )
+            _POOL_WORKERS = workers
         return _POOL
 
 
@@ -294,20 +351,22 @@ def _run_restarts(runs: list[tuple]) -> list[tuple]:
     A pool whose workers died (killed, or out of memory) is replaced once,
     so one lost worker does not fail every later call in the process.
     """
-    global _POOL
-    pool = _restart_pool()
-    if pool is None:
-        return [_run_restart(*args) for args in runs]
-    from concurrent.futures.process import BrokenProcessPool
+    global _POOL, _POOL_WORKERS
+    for attempt in range(2):
+        pool = _restart_pool(len(runs))
+        if pool is None:
+            return [_run_restart(*args) for args in runs]
+        from concurrent.futures.process import BrokenProcessPool
 
-    try:
-        return list(pool.map(_run_restart, *zip(*runs)))
-    except BrokenProcessPool:
-        with _POOL_LOCK:
-            if _POOL is pool:
-                _POOL = None
-        pool.shutdown()
-    return list(_restart_pool().map(_run_restart, *zip(*runs)))
+        try:
+            return list(pool.map(_run_restart, *zip(*runs)))
+        except BrokenProcessPool:
+            if attempt:
+                raise
+            with _POOL_LOCK:
+                if _POOL is pool:
+                    _POOL, _POOL_WORKERS = None, 0
+            pool.shutdown()
 
 
 def dsep_upper(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:

@@ -1,8 +1,12 @@
 import ctypes
 import multiprocessing
+import os
+import pickle
+import select
+import signal
 import subprocess
 import sys
-from pathlib import Path
+import time
 
 import numpy as np
 import pytest
@@ -241,48 +245,170 @@ def test_oracle_worker_error_reaches_caller():
     assert oracle._POOL is pool  # an error in a restart leaves the workers alive
 
 
+INLINE = "restarts run inline: one usable core, not Linux, Python 3.12+ or no OpenBLAS setter"
+POOLED = OracleConfig(restarts=3, max_iters=100, convergence_tol=1e-9, seed=9)
+# these tests fork a process that has BLAS threads, which Python 3.12+ warns about
+forks = pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+
+
 def test_oracle_replaces_a_broken_pool():
     rho = fixture("bell(2)")
-    cfg = OracleConfig(restarts=3, max_iters=100, convergence_tol=1e-9, seed=9)
-    pool = oracle._restart_pool()
+    pool = oracle._restart_pool(POOLED.restarts)
     if pool is None:
-        pytest.skip("restarts run inline: one usable core, not Linux, or no OpenBLAS setter")
-    dsep_upper(rho, cfg)  # every worker forked and idle
+        pytest.skip(INLINE)
+    dsep_upper(rho, POOLED)  # every worker forked and idle
     for worker in multiprocessing.active_children():  # the pool's workers are our only children
         worker.kill()
-    _assert_same_bytes(dsep_upper(rho, cfg), _serial_reference(rho, cfg)[1])
+    _assert_same_bytes(dsep_upper(rho, POOLED), _serial_reference(rho, POOLED)[1])
     assert oracle._POOL is not pool
-    _assert_same_bytes(dsep_upper(rho, cfg), _serial_reference(rho, cfg)[1])
+    _assert_same_bytes(dsep_upper(rho, POOLED), _serial_reference(rho, POOLED)[1])
+
+
+@forks
+def test_oracle_in_a_daemonic_worker():
+    # a multiprocessing.Pool worker may not start children, so its restarts run inline
+    rho = fixture("bell(2)")
+    with multiprocessing.get_context("fork").Pool(1) as workers:
+        res = workers.apply_async(dsep_upper, (rho, POOLED)).get(timeout=60)
+    _assert_same_bytes(res, _serial_reference(rho, POOLED)[1])
+
+
+def _oracle_to_queue(rho, cfg, out):
+    out.put(dsep_upper(rho, cfg))
+
+
+@forks
+def test_oracle_in_a_process_child_after_a_pooled_call():
+    # the child runs inline: a pool of its own would keep it from exiting
+    rho = fixture("bell(2)")
+    dsep_upper(rho, POOLED)
+    ctx = multiprocessing.get_context("fork")
+    out = ctx.Queue()
+    child = ctx.Process(target=_oracle_to_queue, args=(rho, POOLED, out))
+    child.start()
+    try:
+        res = out.get(timeout=60)
+        child.join(timeout=60)
+        assert child.exitcode == 0, "the child did not exit"
+    finally:
+        child.kill()
+        child.join()
+    _assert_same_bytes(res, _serial_reference(rho, POOLED)[1])
+
+
+@forks
+def test_oracle_in_a_bare_fork_after_a_pooled_call():
+    # the child drops the parent's pool, whose manager thread it lacks, and builds its own
+    rho = fixture("bell(2)")
+    dsep_upper(rho, POOLED)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child reports through the pipe and never returns into pytest
+        try:
+            os.close(read_end)
+            res = dsep_upper(rho, POOLED)
+            if oracle._POOL is not None:
+                oracle._POOL.shutdown()
+            with os.fdopen(write_end, "wb") as out:
+                pickle.dump(res, out)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        with os.fdopen(read_end, "rb") as report:
+            assert select.select([report], [], [], 60)[0], "the forked child hung"
+            res = pickle.load(report)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    _assert_same_bytes(res, _serial_reference(rho, POOLED)[1])
+
+
+def _python(code, *flags):
+    """stdout of ``code`` run in a fresh interpreter, which must exit 0."""
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_oracle_under_warnings_as_errors():
+    probe = f"from entcert import *; print(repr(dsep_upper(fixture('bell(2)'), {POOLED!r}).dsep_upper))"
+    assert _python(probe, "-W", "error") == f"{dsep_upper(fixture('bell(2)'), POOLED).dsep_upper!r}\n"
+
+
+def test_pool_workers_follow_restarts():
+    # a pool forks one worker per restart of the largest call so far, at most one per core
+    # and the smaller pool it replaces lets its workers go
+    probe = (
+        "import multiprocessing, time; from entcert import *; from entcert import oracle\n"
+        "for restarts in (1, 3, 2):\n"
+        "    dsep_upper(fixture('bell(2)'), OracleConfig(restarts=restarts, max_iters=20))\n"
+        "    deadline = time.monotonic() + 30\n"
+        "    while len(multiprocessing.active_children()) > oracle._POOL_WORKERS and time.monotonic() < deadline:\n"
+        "        time.sleep(0.05)\n"
+        "    print(oracle._POOL_WORKERS, len(multiprocessing.active_children()))"
+    )
+    one, three = oracle._pool_workers(1), oracle._pool_workers(3)
+    assert one in (0, 1) and three <= 3
+    assert _python(probe) == f"{one} {one}\n{three} {three}\n{three} {three}\n"
+
+
+def test_no_pool_from_python_3_12(monkeypatch):
+    # fork warns there in a process with threads, and numpy's OpenBLAS always has some
+    monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    assert oracle._pool_workers(3) == 0
 
 
 def _blas_threads():
     """Thread count of numpy's OpenBLAS in this process."""
-    for lib in sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            getter = getattr(handle, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return getter()
-    raise LookupError("no OpenBLAS thread count in numpy.libs")
+    getter = oracle._openblas_function("get")
+    getter.restype = ctypes.c_int
+    return getter()
 
 
 def test_pool_workers_run_one_blas_thread():
-    pool = oracle._restart_pool()
+    pool = oracle._restart_pool(2)
     if pool is None:
-        pytest.skip("restarts run inline: one usable core, not Linux, or no OpenBLAS setter")
+        pytest.skip(INLINE)
     caller = _blas_threads()
     assert [f.result(timeout=60) for f in [pool.submit(_blas_threads) for _ in range(8)]] == [1] * 8
     assert _blas_threads() == caller  # the caller's own setting is left alone
 
 
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_pool_workers_exit_with_their_parent():
+    if oracle._pool_workers(POOLED.restarts) == 0:
+        pytest.skip(INLINE)
+    probe = (
+        f"import multiprocessing, time; from entcert import *; dsep_upper(fixture('bell(2)'), {POOLED!r})\n"
+        "print(*[p.pid for p in multiprocessing.active_children()], flush=True); time.sleep(120)"
+    )
+    with subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True) as parent:
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()  # no cleanup runs in the parent
+    assert len(workers) == oracle._pool_workers(POOLED.restarts)
+    deadline = time.monotonic() + 30
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = [pid for pid in workers if _alive(pid)]
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    assert alive == []
+
+
 def test_import_builds_no_pool():
     # the pool modules take about 20 ms to import (2-core x86); only the first oracle call pays
     probe = "import sys, entcert; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert _python(probe) == "[]\n"
 
 
 def test_oracle_ensemble_reconstructs_sigma(rng):
