@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import InvariantViolation, NumericalError
 from .generators import gellmann
-from .io import fixture, load_state, load_witness, matrix_payload
+from .io import fixture, load_state, load_witness, payload
 from .linalg import hermitian_eig
 from .measures import (
     bounds_from_dsep,
@@ -32,7 +32,6 @@ from .oracle import OracleConfig, dsep_upper
 from .states import PureState, schmidt
 from .witnesses import (
     RotationSet,
-    Witness,
     generic_bound,
     mub_bound,
     mub_family,
@@ -56,8 +55,8 @@ def _info(args, text: str) -> None:
         print(text, file=sys.stderr)
 
 
-def _emit(args, payload: dict, out: str | None = None) -> None:
-    text = json.dumps(payload) + "\n"
+def _emit(args, doc: dict, out: str | None = None) -> None:
+    text = json.dumps(doc) + "\n"
     sys.stdout.write(text)
     if out:
         Path(out).write_text(text)
@@ -66,9 +65,9 @@ def _emit(args, payload: dict, out: str | None = None) -> None:
 
 def _certificate_payload(cert) -> dict:
     bounds = bounds_from_dsep(cert.dsep_lower).to_json()
-    payload = cert.to_json()
-    payload.update((k, v) for k, v in bounds.items() if k != "dsep_lower")
-    return payload
+    doc = cert.to_json()
+    doc.update((k, v) for k, v in bounds.items() if k != "dsep_lower")
+    return doc
 
 
 def _cmd_bound(args) -> int:
@@ -90,7 +89,7 @@ def _cmd_bound(args) -> int:
 def _cmd_mub_witness(args) -> int:
     fam = mub_family(args.d, args.L)
     w = mub_witness(fam, RotationSet.identity(args.d, args.L))
-    _emit(args, matrix_payload(w.dims, w.mat, kind="witness"), out=args.out)
+    _emit(args, payload(w), out=args.out)
     return 0
 
 
@@ -104,25 +103,18 @@ def _cmd_pure(args) -> int:
         )
     psi = PureState(dims=rho.dims, vec=v[:, -1])
     lam, _, _ = schmidt(psi)
-    payload = {
+    _emit(args, {
         "schmidt": [float(x) for x in lam.coeffs],
         "dsep_pure": dsep_pure(lam),
         "concurrence": concurrence_pure(lam),
         "eof": eof_pure(lam),
         "geometric": geometric_pure(lam),
-    }
-    _emit(args, payload)
+    })
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    rho = load_state(args.state)
-    kwargs = {}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    result = dsep_upper(rho, OracleConfig(**kwargs))
+    result = dsep_upper(load_state(args.state), OracleConfig(restarts=args.restarts, seed=args.seed))
     _info(
         args,
         f"oracle: dsep_upper={result.dsep_upper:.6g} after {result.iterations_used} "
@@ -133,16 +125,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    obj = fixture(args.name)
-    kind = "witness" if isinstance(obj, Witness) else None
-    _emit(args, matrix_payload(obj.dims, obj.mat, kind=kind), out=args.out)
+    _emit(args, payload(fixture(args.name)), out=args.out)
     return 0
 
 
 def _cmd_twirl(args) -> int:
-    rho = load_state(args.state)
-    out = diagonal_twirl(rho)
-    _emit(args, matrix_payload(out.dims, out.mat), out=args.out)
+    _emit(args, payload(diagonal_twirl(load_state(args.state))), out=args.out)
     return 0
 
 
@@ -177,8 +165,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force separable upper bound")
     p.add_argument("--state", required=True)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--restarts", type=int, default=OracleConfig.restarts)
+    p.add_argument("--seed", type=int, default=OracleConfig.seed)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("fixtures", parents=[common], help="write a named built-in object")

@@ -7,9 +7,11 @@ States and witnesses share one file schema::
 ``matrix`` is row-major with dA*dB rows of dA*dB ``[re, im]`` pairs.
 Witness files carry an extra ``"kind": "witness"`` and are validated for
 Hermiticity only; states must additionally have unit trace and be
-positive semidefinite within tolerance.  Payloads are written with
-``json.dumps``, whose shortest round-trip float repr keeps every value,
-the sign of zero included, bit-exact through a save and load.
+positive semidefinite within tolerance.  ``payload`` is the only writer
+of the schema: the save functions, the CLI and the oracle's ``sigma`` all
+go through it.  Payloads are written with ``json.dumps``, whose shortest
+round-trip float repr keeps every value, the sign of zero included,
+bit-exact through a save and load.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ def complex_pairs(arr) -> list:
     return np.stack([arr.real, arr.imag], -1).tolist()
 
 
-def matrix_payload(dims: tuple[int, int], mat: np.ndarray, kind: str | None = None) -> dict:
-    """The shared JSON payload for a matrix, as a plain dict."""
-    payload: dict = {"dims": [int(dims[0]), int(dims[1])]}
-    if kind is not None:
-        payload["kind"] = kind
-    payload["matrix"] = complex_pairs(mat)
-    return payload
+def payload(obj: DensityMatrix | Witness) -> dict:
+    """The file schema of a state or witness as a plain dict; a witness gets its ``kind``."""
+    out: dict = {"dims": [int(obj.dims[0]), int(obj.dims[1])]}
+    if isinstance(obj, Witness):
+        out["kind"] = "witness"
+    out["matrix"] = complex_pairs(obj.mat)
+    return out
 
 
 def read_matrix_payload(path) -> tuple[tuple[int, int], np.ndarray, str | None]:
@@ -48,27 +50,27 @@ def read_matrix_payload(path) -> tuple[tuple[int, int], np.ndarray, str | None]:
     ``DensityMatrix`` and ``Witness`` constructors.
     """
     try:
-        payload = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decode errors
         raise InvariantViolation(f"parse: cannot read {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "dims" not in payload or "matrix" not in payload:
+    if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise InvariantViolation("parse: payload must be an object with 'dims' and 'matrix'")
-    dims = bipartite_dims(payload["dims"])
+    dims = bipartite_dims(doc["dims"])
     d = dims[0] * dims[1]
     expected = f"shape: matrix must be {d} rows of {d} numeric [re, im] pairs"
     try:
-        pairs = np.array(payload["matrix"])
+        pairs = np.array(doc["matrix"])
     except ValueError as exc:  # ragged nesting
         raise InvariantViolation(expected) from exc
     if pairs.shape != (d, d, 2) or pairs.dtype.kind not in "biuf":
         raise InvariantViolation(f"{expected}, got shape {pairs.shape} of {pairs.dtype}")
     # viewing (re, im) float pairs as complex keeps the sign of zero, a + 1j*b does not
     mat = np.ascontiguousarray(pairs, dtype=float).view(np.complex128)[..., 0]
-    return dims, mat, payload.get("kind")
+    return dims, mat, doc.get("kind")
 
 
 def save_state(rho: DensityMatrix, path) -> None:
-    Path(path).write_text(json.dumps(matrix_payload(rho.dims, rho.mat)) + "\n")
+    Path(path).write_text(json.dumps(payload(rho)) + "\n")
 
 
 def load_state(path) -> DensityMatrix:
@@ -80,7 +82,7 @@ def load_state(path) -> DensityMatrix:
 
 
 def save_witness(w: Witness, path) -> None:
-    Path(path).write_text(json.dumps(matrix_payload(w.dims, w.mat, kind="witness")) + "\n")
+    Path(path).write_text(json.dumps(payload(w)) + "\n")
 
 
 def load_witness(path) -> Witness:

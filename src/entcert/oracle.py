@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import TOLS
 from .errors import InvariantViolation
-from .io import complex_pairs, matrix_payload
+from .io import complex_pairs, payload
 from .linalg import hermitian_eig, partial_transpose
 from .states import DensityMatrix
 
@@ -101,7 +101,7 @@ class OracleResult:
                 "vectors_a": complex_pairs(self.vectors_a.T),
                 "vectors_b": complex_pairs(self.vectors_b.T),
             },
-            "sigma": matrix_payload(self.sigma.dims, self.sigma.mat),
+            "sigma": payload(self.sigma),
         }
 
 
@@ -242,6 +242,11 @@ def _run_restart(
     return float(np.linalg.norm(rho - sigma)), sigma, weights, avecs, bvecs, iters, converged
 
 
+# argtypes and restype of openblas_{verb}_num_threads
+_OPENBLAS_SIGNATURES = {"set": ([ctypes.c_int], None), "get": ([], ctypes.c_int)}
+
+
+@cache
 def _openblas_function(verb: str):
     """``{verb}_num_threads`` of the OpenBLAS bundled with numpy, or None without one."""
     libdir = Path(np.__file__).parent.with_name("numpy.libs")
@@ -251,23 +256,23 @@ def _openblas_function(verb: str):
                        f"openblas_{verb}_num_threads"):
             function = getattr(handle, symbol, None)
             if function is not None:
+                function.argtypes, function.restype = _OPENBLAS_SIGNATURES[verb]
                 return function
     return None
 
 
-@cache
-def _blas_thread_setter():
-    """``set_num_threads`` of the OpenBLAS bundled with numpy, or None without one."""
-    setter = _openblas_function("set")
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-    return setter
-
-
 def _forget_pool():
-    """Drop the parent's pool in a forked child: its manager thread was not forked."""
+    """Drop the parent's pool in a forked child: its manager thread was not forked.
+
+    Its workers also leave ``multiprocessing``'s record of this process's
+    children, whose exit handler would otherwise try to join them and fail:
+    they are the parent's children, not this process's.
+    """
     global _POOL, _POOL_WORKERS, _POOL_LOCK
+    if _POOL is not None:
+        from multiprocessing import process
+
+        process._children.difference_update(_POOL._processes.values())
     _POOL, _POOL_WORKERS, _POOL_LOCK = None, 0, threading.Lock()
 
 
@@ -288,7 +293,7 @@ def _pool_workers(restarts: int) -> int:
     if sys.platform != "linux" or sys.version_info >= (3, 12):
         return 0
     cores = len(os.sched_getaffinity(0))
-    if cores < 2 or _blas_thread_setter() is None:
+    if cores < 2 or _openblas_function("set") is None:
         return 0
     mp = sys.modules.get("multiprocessing")  # a multiprocessing child has imported it
     if mp is not None and mp.parent_process() is not None:
@@ -309,7 +314,7 @@ def _init_worker():
         wait([sentinel])
         os._exit(1)
 
-    _blas_thread_setter()(1)
+    _openblas_function("set")(1)
     threading.Thread(target=exit_with_parent, daemon=True).start()
 
 
@@ -389,11 +394,8 @@ def dsep_upper(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleRes
         (rho.mat, rho.dims, np.random.default_rng([cfg.seed, r]), cfg.max_iters, cfg.convergence_tol)
         for r in range(cfg.restarts)
     ]
-    best = None
-    for outcome in _run_restarts(runs):
-        if best is None or outcome[0] < best[0]:
-            best = outcome
-    obj, sigma, weights, avecs, bvecs, iters, converged = best
+    # min keeps the first of equal values: the earliest restart wins a tie
+    obj, sigma, weights, avecs, bvecs, iters, converged = min(_run_restarts(runs), key=lambda o: o[0])
     return OracleResult(
         dsep_upper=obj,
         sigma=DensityMatrix(dims=rho.dims, mat=sigma),

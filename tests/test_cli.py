@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from entcert import DensityMatrix, diagonal_twirl, fixture, load_state, save_state
+from entcert import DensityMatrix, OracleConfig, diagonal_twirl, fixture, load_state, save_state
 from entcert.cli import _build_parser, main
 
 
@@ -147,6 +147,13 @@ def test_oracle_subcommand(tmp_path):
     assert out["dsep_upper"] <= 1e-6
     assert out["converged"] is True
     assert set(out["ensemble"]) == {"weights", "vectors_a", "vectors_b"}
+
+
+def test_oracle_subcommand_defaults_are_the_config_defaults():
+    args = _build_parser().parse_args(["oracle", "--state", "s.json"])
+    assert (args.restarts, args.seed) == (OracleConfig().restarts, OracleConfig().seed) == (20, 0)
+    args = _build_parser().parse_args(["oracle", "--state", "s.json", "--restarts", "7", "--seed", "3"])
+    assert (args.restarts, args.seed) == (7, 3)
 
 
 def test_quiet_silences_stderr(paper_files):

@@ -1,4 +1,3 @@
-import ctypes
 import multiprocessing
 import os
 import pickle
@@ -324,6 +323,21 @@ def test_oracle_in_a_bare_fork_after_a_pooled_call():
     _assert_same_bytes(res, _serial_reference(rho, POOLED)[1])
 
 
+def test_bare_fork_after_a_pooled_call_exits_cleanly():
+    # the child must not inherit the parent's workers as its own children, or the exit
+    # handler of multiprocessing tries to join them and prints a traceback
+    probe = (
+        f"import os, sys; from entcert import *; dsep_upper(fixture('bell(2)'), {POOLED!r})\n"
+        "pid = os.fork()\n"
+        "if pid == 0: sys.exit(0)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))"
+    )
+    # on Python 3.12+ the probe's fork of a process with BLAS threads warns
+    cmd = [sys.executable, "-W", "ignore::DeprecationWarning", "-c", probe]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
 def _python(code, *flags):
     """stdout of ``code`` run in a fresh interpreter, which must exit 0."""
     proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=120)
@@ -359,11 +373,17 @@ def test_no_pool_from_python_3_12(monkeypatch):
     assert oracle._pool_workers(3) == 0
 
 
+def test_no_pool_without_openblas(monkeypatch):
+    # without a thread setter the workers' BLAS threads would spin against each other
+    monkeypatch.setattr(oracle, "_openblas_function", lambda verb: None)
+    assert oracle._pool_workers(3) == 0
+    rho = fixture("bell(2)")
+    _assert_same_bytes(dsep_upper(rho, POOLED), _serial_reference(rho, POOLED)[1])
+
+
 def _blas_threads():
     """Thread count of numpy's OpenBLAS in this process."""
-    getter = oracle._openblas_function("get")
-    getter.restype = ctypes.c_int
-    return getter()
+    return oracle._openblas_function("get")()
 
 
 def test_pool_workers_run_one_blas_thread():
