@@ -9,10 +9,9 @@ optimizer reaches, the returned value is a distance to an explicitly
 separable state, hence always a valid upper bound on the true distance.
 
 The restarts are independent.  On Linux, on Python before 3.12, with more
-than one usable core and the OpenBLAS that numpy bundles, they run on a
-pool of forked worker processes, at most one per core, each pinned to one
-BLAS thread; elsewhere, and in ``multiprocessing`` children, they run one
-after another in the calling process.
+than one usable core and the OpenBLAS that numpy bundles, each runs in a
+child process forked for it, on one BLAS thread, at most one per core at
+once; elsewhere they run one after another in the calling process.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ import ctypes
 import math
 import numbers
 import os
+import pickle
+import signal
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -30,16 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import TOLS
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NumericalError
 from .io import complex_pairs, payload
 from .linalg import hermitian_eig, partial_transpose
 from .states import DensityMatrix
 
 _WEIGHT_FLOOR = 1e-14
 _REFINE_ROUNDS = 3  # alternating eigenvector rounds per candidate in _top_products
-_POOL = None  # the restart pool, built by the first call that can use one
-_POOL_WORKERS = 0  # its worker count
-_POOL_LOCK = threading.Lock()  # guards building and replacing _POOL
 
 
 def ppt_check(rho: DensityMatrix) -> tuple[bool, float]:
@@ -261,117 +259,92 @@ def _openblas_function(verb: str):
     return None
 
 
-def _forget_pool():
-    """Drop the parent's pool in a forked child: its manager thread was not forked.
-
-    Its workers also leave ``multiprocessing``'s record of this process's
-    children, whose exit handler would otherwise try to join them and fail:
-    they are the parent's children, not this process's.
-    """
-    global _POOL, _POOL_WORKERS, _POOL_LOCK
-    if _POOL is not None:
-        from multiprocessing import process
-
-        process._children.difference_update(_POOL._processes.values())
-    _POOL, _POOL_WORKERS, _POOL_LOCK = None, 0, threading.Lock()
-
-
-if sys.platform == "linux":
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool_workers(restarts: int) -> int:
-    """Workers a pool for ``restarts`` restarts gets; 0 where the restarts run inline.
+def _fork_workers(restarts: int) -> int:
+    """Children the restarts run in at once; 0 where they run inline.
 
     Inline off Linux; on Python 3.12+, whose ``fork`` warns in a process
     with threads, as numpy's OpenBLAS threads always make it; on one usable
-    core; without numpy's OpenBLAS; and in a ``multiprocessing`` child.  A
-    daemonic child (a ``multiprocessing.Pool`` worker) may not start
-    processes, and any other child would hang at exit: ``multiprocessing``
-    joins its children there before the pool is shut down.
+    core; and without numpy's OpenBLAS, whose thread count the parent pins.
     """
-    if sys.platform != "linux" or sys.version_info >= (3, 12):
+    if sys.platform != "linux" or sys.version_info >= (3, 12) or _openblas_function("set") is None:
         return 0
     cores = len(os.sched_getaffinity(0))
-    if cores < 2 or _openblas_function("set") is None:
-        return 0
-    mp = sys.modules.get("multiprocessing")  # a multiprocessing child has imported it
-    if mp is not None and mp.parent_process() is not None:
-        return 0
-    return min(cores, restarts)
+    return min(cores, restarts) if cores > 1 else 0
 
 
-def _init_worker():
-    """Pin a pool worker's OpenBLAS to one thread, and end the worker with its parent.
-
-    A worker whose parent is killed (SIGKILL, the out-of-memory killer)
-    would otherwise wait on its task queue for good.
-    """
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    def exit_with_parent(sentinel=multiprocessing.parent_process().sentinel):
-        wait([sentinel])
+def _fork_restart(args: tuple):
+    """Pid and pipe of a forked child that sends back ``_run_restart(*args)`` or the error it raised."""
+    parent = os.getpid()
+    prctl = ctypes.CDLL(None).prctl  # resolved before the fork, so the child only calls it
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, os.fdopen(read_end, "rb")
+    try:
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG: die with the parent, even a killed one
+        if os.getppid() == parent:  # else the parent died before the line above
+            try:
+                reply = _run_restart(*args)
+            except Exception as exc:
+                reply = exc
+            with os.fdopen(write_end, "wb") as out:
+                pickle.dump(reply, out)
+            os._exit(0)
+    finally:
         os._exit(1)
 
-    _openblas_function("set")(1)
-    threading.Thread(target=exit_with_parent, daemon=True).start()
 
-
-def _restart_pool(restarts: int):
-    """The process-wide restart pool, built or grown on demand; None where restarts run inline.
-
-    It has one worker per restart of the largest call so far, at most one
-    per usable core.  ``fork``, not ``spawn`` or ``forkserver``: those
-    re-import ``__main__`` in each worker, which crashes a caller's script
-    that lacks an ``if __name__ == "__main__"`` guard.  Each worker pins its
-    OpenBLAS to one thread (``_init_worker``).  Unpinned, every worker
-    starts one thread per core and the workers' threads spin against each
-    other: on a 2-core machine the (4,4) oracle ran 2.3-4.8x slower than in
-    one process.  One thread per worker also makes every product round the
-    same way on any machine.
-    """
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        workers = _pool_workers(restarts)
-        if not workers:
-            return None
-        if workers > _POOL_WORKERS:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # a smaller pool left behind shuts down once no caller holds it
-            _POOL = ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-            )
-            _POOL_WORKERS = workers
-        return _POOL
+_PIN_LOCK = threading.Lock()  # held by the call whose children run on the pinned OpenBLAS
 
 
 def _run_restarts(runs: list[tuple]) -> list[tuple]:
     """``_run_restart(*args)`` for each tuple in ``runs``, in order.
 
-    A pool whose workers died (killed, or out of memory) is replaced once,
-    so one lost worker does not fail every later call in the process.
-    """
-    global _POOL, _POOL_WORKERS
-    for attempt in range(2):
-        pool = _restart_pool(len(runs))
-        if pool is None:
-            return [_run_restart(*args) for args in runs]
-        from concurrent.futures.process import BrokenProcessPool
+    Where ``_fork_workers`` allows, each restart runs in a child forked for
+    it, at most that many at once, which pickles its outcome or error into
+    a pipe; every child is reaped before this returns.  ``fork``, not
+    ``spawn`` or ``forkserver``: those re-import ``__main__``, which crashes
+    a caller's script that lacks an ``if __name__ == "__main__"`` guard.
 
+    The children run on one OpenBLAS thread, which the parent pins across
+    its forks, under the lock, and then restores to the caller's count.
+    Unpinned, their threads spin against each other (the (4,4) oracle ran
+    2.3-4.8x slower on 2 cores than in one process), and one thread rounds
+    every product the same way on any machine.  Pinned in a fresh child
+    instead, OpenBLAS restarts its thread server, whose second thread
+    doubled the CPU time of 10-iteration 3x3 restarts.
+    """
+    workers = _fork_workers(len(runs))
+    if not workers:
+        return [_run_restart(*args) for args in runs]
+    children = []  # (pid, pipe) of each running child, oldest first
+    outcomes = []
+    with _PIN_LOCK:
+        caller_threads = _openblas_function("get")()
+        _openblas_function("set")(1)
         try:
-            return list(pool.map(_run_restart, *zip(*runs)))
-        except BrokenProcessPool:
-            if attempt:
-                raise
-            with _POOL_LOCK:
-                if _POOL is pool:
-                    _POOL, _POOL_WORKERS = None, 0
-            pool.shutdown()
+            for restart in range(len(runs)):
+                children.extend(map(_fork_restart, runs[restart + len(children):restart + workers]))
+                pid, report = children[0]
+                data = report.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children.pop(0)
+                report.close()
+                if code:
+                    end = f"signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exit code {code}"
+                    raise NumericalError(f"oracle restart {restart}: its process ended with {end}")
+                outcomes.append(pickle.loads(data))
+                if isinstance(outcomes[-1], Exception):
+                    raise outcomes[-1]
+            return outcomes
+        finally:
+            for pid, report in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                report.close()
+            _openblas_function("set")(caller_threads)
 
 
 def dsep_upper(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:
@@ -379,10 +352,10 @@ def dsep_upper(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleRes
 
     Runs ``cfg.restarts`` independently seeded Frank-Wolfe minimizations,
     each capped at ``max_iters`` iterations, and keeps the best, the
-    earliest restart on a tie.  On the worker pool each restart runs with
-    one BLAS thread, so the output does not depend on the core count or
-    on the caller's BLAS thread count; run inline, it uses the caller's
-    BLAS, whose threads may round large products differently.
+    earliest restart on a tie.  In a forked child each restart runs on one
+    BLAS thread, so the output does not depend on the core count or the
+    caller's BLAS thread count; run inline, it uses the caller's BLAS,
+    whose threads may round large products differently.
     ``converged`` means the Frank-Wolfe gap over the refined candidates
     fell below ``convergence_tol``.  The candidate search is a heuristic,
     so this is a stall test, not a proof of optimality.  Converged or

@@ -5,6 +5,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from entcert import (
     DensityMatrix,
     InvariantViolation,
+    NumericalError,
     OracleConfig,
     PureState,
     RotationSet,
@@ -25,7 +27,8 @@ from entcert import (
     ppt_check,
     spin_bound,
 )
-from entcert import oracle
+from entcert import oracle, save_state
+from entcert.cli import main
 from entcert.oracle import _simplex_lsq
 
 from conftest import haar_vector, product_columns, random_density
@@ -238,10 +241,8 @@ def test_oracle_worker_error_reaches_caller():
     rho.dims = (2, 3)  # a 4x4 matrix the restarts cannot reshape
     with pytest.raises(ValueError, match="reshape"):
         dsep_upper(rho, OracleConfig(restarts=3, max_iters=5))
-    pool = oracle._POOL
     rho.dims = (2, 2)
     assert dsep_upper(rho, FAST).dsep_upper <= 1e-6
-    assert oracle._POOL is pool  # an error in a restart leaves the workers alive
 
 
 INLINE = "restarts run inline: one usable core, not Linux, Python 3.12+ or no OpenBLAS setter"
@@ -250,22 +251,30 @@ POOLED = OracleConfig(restarts=3, max_iters=100, convergence_tol=1e-9, seed=9)
 forks = pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
 
 
-def test_oracle_replaces_a_broken_pool():
+def test_oracle_reports_a_killed_restart(monkeypatch, tmp_path, capsys):
+    if oracle._fork_workers(POOLED.restarts) == 0:
+        pytest.skip(INLINE)  # the patched restart below would kill this process
     rho = fixture("bell(2)")
-    pool = oracle._restart_pool(POOLED.restarts)
-    if pool is None:
-        pytest.skip(INLINE)
-    dsep_upper(rho, POOLED)  # every worker forked and idle
-    for worker in multiprocessing.active_children():  # the pool's workers are our only children
-        worker.kill()
-    _assert_same_bytes(dsep_upper(rho, POOLED), _serial_reference(rho, POOLED)[1])
-    assert oracle._POOL is not pool
+    run = oracle._run_restart
+
+    def restart_1_dies(rho, dims, rng, *rest):
+        if rng.bit_generator.seed_seq.entropy[1] == 1:  # seeded [cfg.seed, restart]
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(rho, dims, rng, *rest)
+
+    monkeypatch.setattr(oracle, "_run_restart", restart_1_dies)
+    with pytest.raises(NumericalError, match=r"^oracle restart 1: .*signal 9 "):
+        dsep_upper(rho, POOLED)
+    save_state(rho, tmp_path / "bell2.json")
+    assert main(["oracle", "--state", str(tmp_path / "bell2.json"), "--restarts", "3"]) == 2
+    assert "numerical failure: oracle restart 1: " in capsys.readouterr().err
+    monkeypatch.undo()
     _assert_same_bytes(dsep_upper(rho, POOLED), _serial_reference(rho, POOLED)[1])
 
 
 @forks
 def test_oracle_in_a_daemonic_worker():
-    # a multiprocessing.Pool worker may not start children, so its restarts run inline
+    # os.fork is allowed in a daemonic multiprocessing.Pool worker, so its restarts fork too
     rho = fixture("bell(2)")
     with multiprocessing.get_context("fork").Pool(1) as workers:
         res = workers.apply_async(dsep_upper, (rho, POOLED)).get(timeout=60)
@@ -278,7 +287,7 @@ def _oracle_to_queue(rho, cfg, out):
 
 @forks
 def test_oracle_in_a_process_child_after_a_pooled_call():
-    # the child runs inline: a pool of its own would keep it from exiting
+    # the child forks its own restarts and still exits: it leaves no children to join
     rho = fixture("bell(2)")
     dsep_upper(rho, POOLED)
     ctx = multiprocessing.get_context("fork")
@@ -297,7 +306,7 @@ def test_oracle_in_a_process_child_after_a_pooled_call():
 
 @forks
 def test_oracle_in_a_bare_fork_after_a_pooled_call():
-    # the child drops the parent's pool, whose manager thread it lacks, and builds its own
+    # the parent's call left nothing behind that the child's own call could trip over
     rho = fixture("bell(2)")
     dsep_upper(rho, POOLED)
     read_end, write_end = os.pipe()
@@ -306,8 +315,6 @@ def test_oracle_in_a_bare_fork_after_a_pooled_call():
         try:
             os.close(read_end)
             res = dsep_upper(rho, POOLED)
-            if oracle._POOL is not None:
-                oracle._POOL.shutdown()
             with os.fdopen(write_end, "wb") as out:
                 pickle.dump(res, out)
         finally:
@@ -324,8 +331,8 @@ def test_oracle_in_a_bare_fork_after_a_pooled_call():
 
 
 def test_bare_fork_after_a_pooled_call_exits_cleanly():
-    # the child must not inherit the parent's workers as its own children, or the exit
-    # handler of multiprocessing tries to join them and prints a traceback
+    # the parent's call leaves no children that the exit handler of multiprocessing
+    # could take for the child's and try to join, printing a traceback
     probe = (
         f"import os, sys; from entcert import *; dsep_upper(fixture('bell(2)'), {POOLED!r})\n"
         "pid = os.fork()\n"
@@ -350,49 +357,63 @@ def test_oracle_under_warnings_as_errors():
     assert _python(probe, "-W", "error") == f"{dsep_upper(fixture('bell(2)'), POOLED).dsep_upper!r}\n"
 
 
-def test_pool_workers_follow_restarts():
-    # a pool forks one worker per restart of the largest call so far, at most one per core
-    # and the smaller pool it replaces lets its workers go
-    probe = (
-        "import multiprocessing, time; from entcert import *; from entcert import oracle\n"
-        "for restarts in (1, 3, 2):\n"
-        "    dsep_upper(fixture('bell(2)'), OracleConfig(restarts=restarts, max_iters=20))\n"
-        "    deadline = time.monotonic() + 30\n"
-        "    while len(multiprocessing.active_children()) > oracle._POOL_WORKERS and time.monotonic() < deadline:\n"
-        "        time.sleep(0.05)\n"
-        "    print(oracle._POOL_WORKERS, len(multiprocessing.active_children()))"
-    )
-    one, three = oracle._pool_workers(1), oracle._pool_workers(3)
-    assert one in (0, 1) and three <= 3
-    assert _python(probe) == f"{one} {one}\n{three} {three}\n{three} {three}\n"
-
-
 def test_no_pool_from_python_3_12(monkeypatch):
     # fork warns there in a process with threads, and numpy's OpenBLAS always has some
     monkeypatch.setattr(sys, "version_info", (3, 12, 0))
-    assert oracle._pool_workers(3) == 0
+    assert oracle._fork_workers(3) == 0
 
 
 def test_no_pool_without_openblas(monkeypatch):
-    # without a thread setter the workers' BLAS threads would spin against each other
+    # without a thread setter the children's BLAS threads would spin against each other
     monkeypatch.setattr(oracle, "_openblas_function", lambda verb: None)
-    assert oracle._pool_workers(3) == 0
+    assert oracle._fork_workers(3) == 0
     rho = fixture("bell(2)")
     _assert_same_bytes(dsep_upper(rho, POOLED), _serial_reference(rho, POOLED)[1])
 
 
 def _blas_threads():
-    """Thread count of numpy's OpenBLAS in this process."""
-    return oracle._openblas_function("get")()
+    """Thread count of numpy's OpenBLAS in this process, None without one."""
+    get = oracle._openblas_function("get")
+    return get and get()
 
 
-def test_pool_workers_run_one_blas_thread():
-    pool = oracle._restart_pool(2)
-    if pool is None:
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    if oracle._fork_workers(8) == 0:
         pytest.skip(INLINE)
+    set_threads = oracle._openblas_function("set")
     caller = _blas_threads()
-    assert [f.result(timeout=60) for f in [pool.submit(_blas_threads) for _ in range(8)]] == [1] * 8
-    assert _blas_threads() == caller  # the caller's own setting is left alone
+    set_threads(2)  # a count the children must not inherit
+    try:
+        monkeypatch.setattr(oracle, "_run_restart", lambda *args: _blas_threads())
+        assert oracle._run_restarts([()] * 8) == [1] * 8  # the patch is forked with the process
+        assert _blas_threads() == 2  # the caller's own setting is restored
+    finally:
+        set_threads(caller)
+
+
+def test_concurrent_calls_keep_the_callers_blas_threads(rng):
+    # one call at a time pins OpenBLAS, so no call takes another's pin for the caller's count
+    states = [fixture("bell(2)"), DensityMatrix(dims=(2, 3), mat=random_density(rng, 6))] * 2
+    caller = _blas_threads()
+    results = [None] * len(states)
+
+    def call(i):
+        results[i] = dsep_upper(states[i], POOLED)
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(states))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for state, res in zip(states, results):
+        _assert_same_bytes(res, _serial_reference(state, POOLED)[1])
+    assert _blas_threads() == caller
 
 
 def _alive(pid):
@@ -404,18 +425,19 @@ def _alive(pid):
 
 
 def test_pool_workers_exit_with_their_parent():
-    if oracle._pool_workers(POOLED.restarts) == 0:
+    # a caller killed in the middle of a call takes its restart children with it
+    if oracle._fork_workers(POOLED.restarts) == 0:
         pytest.skip(INLINE)
     probe = (
-        f"import multiprocessing, time; from entcert import *; dsep_upper(fixture('bell(2)'), {POOLED!r})\n"
-        "print(*[p.pid for p in multiprocessing.active_children()], flush=True); time.sleep(120)"
+        "import os, time; from entcert import *; from entcert import oracle\n"
+        "oracle._run_restart = lambda *args: os.write(1, b'%d\\n' % os.getpid()) and time.sleep(120)\n"
+        f"dsep_upper(fixture('bell(2)'), {POOLED!r})"
     )
     with subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True) as parent:
         try:
-            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            workers = [int(parent.stdout.readline()) for _ in range(oracle._fork_workers(POOLED.restarts))]
         finally:
             parent.kill()  # no cleanup runs in the parent
-    assert len(workers) == oracle._pool_workers(POOLED.restarts)
     deadline = time.monotonic() + 30
     while any(map(_alive, workers)) and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -426,9 +448,10 @@ def test_pool_workers_exit_with_their_parent():
 
 
 def test_import_builds_no_pool():
-    # the pool modules take about 20 ms to import (2-core x86); only the first oracle call pays
-    probe = "import sys, entcert; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-    assert _python(probe) == "[]\n"
+    # the pool modules take about 20 ms to import (2-core x86); neither import nor a call pays
+    imported = "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    probe = f"import sys; from entcert import *\n{imported}\ndsep_upper(fixture('bell(2)'), {POOLED!r})\n{imported}"
+    assert _python(probe) == "[]\n[]\n"
 
 
 def test_oracle_ensemble_reconstructs_sigma(rng):
