@@ -1,11 +1,11 @@
 """Command-line front end: state files in, JSON certificates out.
 
 Exit codes: 0 on success, 1 on invalid input (parse or invariant failure,
-the message names the violated invariant), 2 on numerical failure
-(eigensolver error or oracle non-convergence).  All results go to stdout
-as a single JSON document written by ``json.dumps``; ``--out`` writes the
-same text to a file.  Informational chatter goes to stderr and is
-silenced by ``--quiet``.
+or an ``--out`` path that cannot be written; the message names the
+violated invariant), 2 on numerical failure (eigensolver error or oracle
+non-convergence).  All results go to stdout as a single JSON document
+written by ``json.dumps``; ``--out`` first writes the same text to a file.
+Informational chatter goes to stderr and is silenced by ``--quiet``.
 """
 
 from __future__ import annotations
@@ -57,10 +57,13 @@ def _info(args, text: str) -> None:
 
 def _emit(args, doc: dict, out: str | None = None) -> None:
     text = json.dumps(doc) + "\n"
-    sys.stdout.write(text)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise InvariantViolation(f"output: cannot write {out}: {exc.strerror or exc}") from exc
         _info(args, f"wrote {out}")
+    sys.stdout.write(text)
 
 
 def _certificate_payload(cert) -> dict:

@@ -62,7 +62,7 @@ def read_matrix_payload(path) -> tuple[tuple[int, int], np.ndarray, str | None]:
         pairs = np.array(doc["matrix"])
     except ValueError as exc:  # ragged nesting
         raise InvariantViolation(expected) from exc
-    if pairs.shape != (d, d, 2) or pairs.dtype.kind not in "biuf":
+    if pairs.shape != (d, d, 2) or pairs.dtype.kind not in "iuf":
         raise InvariantViolation(f"{expected}, got shape {pairs.shape} of {pairs.dtype}")
     # viewing (re, im) float pairs as complex keeps the sign of zero, a + 1j*b does not
     mat = np.ascontiguousarray(pairs, dtype=float).view(np.complex128)[..., 0]

@@ -63,11 +63,13 @@ def as_stack(entries, dtype, what: str) -> np.ndarray:
 
 
 def bipartite_dims(dims) -> tuple[int, int]:
-    """Coerce to ``(dA, dB)``, two positive integers."""
+    """Coerce to ``(dA, dB)``, two positive integers; bools are refused."""
     try:
-        da, db = (operator.index(x) for x in dims)
-        if da >= 1 and db >= 1:
-            return da, db
+        da, db = dims
+        if not isinstance(da, bool) and not isinstance(db, bool):  # operator.index takes True as 1
+            da, db = operator.index(da), operator.index(db)
+            if da >= 1 and db >= 1:
+                return da, db
     except (TypeError, ValueError):
         pass
     raise InvariantViolation(f"dims: expected two positive integers, got {dims!r}")

@@ -4,9 +4,13 @@
 numerically minimizes || rho - sum_i p_i |a_i b_i><a_i b_i| ||_F over
 explicit product ensembles with fully-corrective Frank-Wolfe (Gilbert's
 algorithm): product states aligned with the residual join the ensemble
-and a simplex-constrained solve re-fits all weights.  Whatever the
-optimizer reaches, the returned value is a distance to an explicitly
-separable state, hence always a valid upper bound on the true distance.
+and a simplex-constrained solve re-fits all weights.  The candidates are
+aligned with the residual in alternating rounds of local top
+eigenvectors: each half-round builds every candidate's local matrix in
+one matrix product and takes their top eigenvectors in one batch, in
+closed form on a qubit.  Whatever the optimizer reaches, the returned
+value is a distance to an explicitly separable state, hence always a
+valid upper bound on the true distance.
 
 The restarts are independent.  On Linux, on Python before 3.12, with more
 than one usable core and the OpenBLAS that numpy bundles, each runs in a
@@ -174,19 +178,44 @@ def _product_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(da * db, m)
 
 
+def _top_vectors(m: np.ndarray) -> np.ndarray:
+    """Unit top eigenvectors, one column per matrix, of a Hermitian stack read from its lower triangles.
+
+    2x2 matrices ``[[alpha, *], [beta, gamma]]`` take the closed form: with
+    ``h = (alpha - gamma)/2`` and ``r = hypot(h, |beta|)``, the vector
+    ``(h + r, beta)`` for ``h >= 0``, else ``(conj(beta), r - h)``, so its
+    real entry adds two nonnegative terms and never cancels; ``c*I``
+    (``r = 0``) gets ``e0``.  Other sizes go to ``eigh``, which also reads
+    only the lower triangle.
+    """
+    if m.shape[1] != 2:
+        return np.linalg.eigh(m)[1][:, :, -1].T
+    h = (m[:, 0, 0].real - m[:, 1, 1].real) / 2
+    beta = m[:, 1, 0]
+    beta_abs = np.abs(beta)
+    r = np.hypot(h, beta_abs)
+    s = np.where(r > 0, r + np.abs(h), 1.0)  # h + r or r - h
+    lead = h >= 0
+    v = np.stack([np.where(lead, s, beta.conj()), np.where(lead, beta, s)])
+    return v / np.hypot(s, beta_abs)
+
+
 def _top_products(r4: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Alternating top-eigenvector search for the best product directions.
 
     ``a`` and ``b`` hold one candidate per column; all columns are refined
-    against the same matrix in a few batched eigendecompositions.
+    against the same residual ``r4[i, j, k, l] = R[(i, j), (k, l)]``.  It is
+    laid out once as ``R_A[(i, k), (j, l)]`` and ``R_B[(j, l), (i, k)]``, so
+    the local matrices ``<b|R|b>`` of every column come from one product of
+    the rows ``conj(b_j) b_l`` with ``R_B``, and ``<a|R|a>`` likewise from
+    ``R_A``; each half-round ends in one batched ``_top_vectors``.
     """
+    da, db = r4.shape[:2]
+    r_a = r4.transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    r_b = r4.transpose(1, 3, 0, 2).reshape(db * db, da * da)
     for _ in range(_REFINE_ROUNDS):
-        ma = np.einsum("ijkl,jn,ln->nik", r4, b.conj(), b)
-        ma = (ma + np.conj(np.swapaxes(ma, 1, 2))) / 2
-        a = np.linalg.eigh(ma)[1][:, :, -1].T
-        mb = np.einsum("ijkl,in,kn->njl", r4, a.conj(), a)
-        mb = (mb + np.conj(np.swapaxes(mb, 1, 2))) / 2
-        b = np.linalg.eigh(mb)[1][:, :, -1].T
+        a = _top_vectors((_product_columns(b.conj(), b).T @ r_b).reshape(-1, da, da))
+        b = _top_vectors((_product_columns(a.conj(), a).T @ r_a).reshape(-1, db, db))
     return a, b
 
 
@@ -232,7 +261,7 @@ def _run_restart(
         prods = _product_columns(avecs, bvecs)
         q = np.abs(avecs.conj().T @ avecs) ** 2 * np.abs(bvecs.conj().T @ bvecs) ** 2
         c = np.einsum("di,di->i", prods.conj(), rho @ prods).real
-        weights = _simplex_lsq(q, c, np.pad(weights, (0, cands.shape[1])))
+        weights = _simplex_lsq(q, c, np.concatenate([weights, np.zeros(cands.shape[1])]))
         keep = weights > _WEIGHT_FLOOR
         weights, avecs, bvecs = weights[keep], avecs[:, keep], bvecs[:, keep]
         prods = prods[:, keep]

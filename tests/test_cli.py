@@ -188,6 +188,18 @@ def test_undecodable_file_is_parse_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_unwritable_out_is_an_input_error(tmp_path, paper_files, capsys):
+    state, _ = paper_files
+    out = str(tmp_path / "missing" / "x.json")
+    for argv in (["fixtures", "--name", "singlet"], ["twirl", "--state", str(state)],
+                 ["mub-witness", "--d", "2", "--L", "3"]):
+        assert main([*argv, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"entcert: error: output: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+
+
 def test_bad_usage_exits_one():
     proc = run_cli("bound")
     assert proc.returncode == 1

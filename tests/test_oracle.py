@@ -31,7 +31,7 @@ from entcert import oracle, save_state
 from entcert.cli import main
 from entcert.oracle import _simplex_lsq
 
-from conftest import haar_vector, product_columns, random_density
+from conftest import haar_vector, product_columns, random_density, random_hermitian
 
 FAST = OracleConfig(restarts=3, max_iters=250, convergence_tol=1e-9, seed=11)
 
@@ -118,6 +118,55 @@ def test_simplex_lsq_returns_kkt_point(rng, monkeypatch):
     q, c = _gram_problem(rng, (2, 2), 8, repeat=True)
     _assert_kkt_point(q, c, np.zeros(8))  # the uniform start holds both copies
     assert lstsq_calls
+
+
+def _top_products_reference(r4, a, b):
+    """The refinement kernel by three-operand einsums, Hermitian parts and batched eigh."""
+    for _ in range(oracle._REFINE_ROUNDS):
+        ma = np.einsum("ijkl,jn,ln->nik", r4, b.conj(), b)
+        ma = (ma + np.conj(np.swapaxes(ma, 1, 2))) / 2
+        a = np.linalg.eigh(ma)[1][:, :, -1].T
+        mb = np.einsum("ijkl,in,kn->njl", r4, a.conj(), a)
+        mb = (mb + np.conj(np.swapaxes(mb, 1, 2))) / 2
+        b = np.linalg.eigh(mb)[1][:, :, -1].T
+    return a, b
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])
+def test_top_products_matches_the_einsum_reference(rng, dims):
+    da, db = dims
+    d = da * db
+    resid = random_density(rng, d) - random_density(rng, d)  # Hermitian and traceless, as rho - sigma
+    r4 = resid.reshape(da, db, da, db)
+    n = 3 * d
+    a = np.stack([haar_vector(rng, da) for _ in range(n)], axis=1)
+    b = np.stack([haar_vector(rng, db) for _ in range(n)], axis=1)
+    want_a, want_b = _top_products_reference(r4, a, b)
+    got_a, got_b = oracle._top_products(r4, a, b)
+    for got, want in ((got_a, want_a), (got_b, want_b)):
+        assert got.shape == want.shape
+        assert np.abs(np.linalg.norm(got, axis=0) - 1).max() <= 1e-12
+        # the same vectors up to a phase
+        assert np.abs(np.abs(np.einsum("dn,dn->n", want.conj(), got)) - 1).max() <= 1e-12
+    value = lambda a, b: np.einsum("dn,dn->n", product_columns(a, b).conj(), resid @ product_columns(a, b)).real
+    assert np.abs(value(got_a, got_b) - value(want_a, want_b)).max() <= 1e-12
+
+
+def test_qubit_top_vectors_on_degenerate_stacks(rng):
+    g = random_hermitian(rng, 2)
+    stack = np.array([
+        np.diag([0.7, -0.2]),  # beta = 0, alpha > gamma
+        np.diag([-0.2, 0.7]),  # beta = 0, alpha < gamma
+        0.3 * np.eye(2),  # beta = 0, alpha = gamma: c*I
+        np.zeros((2, 2)),
+        -g @ g.conj().T - 1e-3 * np.eye(2),  # negative definite
+        g,
+    ], dtype=complex)
+    v = oracle._top_vectors(stack)
+    assert v.shape == (2, len(stack))
+    assert np.abs(np.linalg.norm(v, axis=0) - 1).max() <= 1e-14
+    rayleigh = np.einsum("in,nij,jn->n", v.conj(), stack, v).real
+    assert np.abs(rayleigh - np.linalg.eigvalsh(stack)[:, -1]).max() <= 1e-14
 
 
 def test_oracle_separable_state_reaches_zero():

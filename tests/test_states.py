@@ -184,6 +184,23 @@ def test_load_rejects_malformed_rows(tmp_path):
         load_state(path)
 
 
+def test_load_rejects_boolean_dims(tmp_path):
+    # operator.index takes True as 1
+    path = tmp_path / "bool_dims.json"
+    path.write_text(json.dumps({"dims": [True, True], "matrix": [[[1.0, 0.0]]]}))
+    with pytest.raises(InvariantViolation, match="^dims:"):
+        load_state(path)
+    with pytest.raises(InvariantViolation, match="^dims:"):
+        DensityMatrix(dims=(True, 1), mat=np.eye(1))
+
+
+def test_load_rejects_boolean_entries(tmp_path):
+    path = tmp_path / "bool_entries.json"
+    path.write_text(json.dumps({"dims": [1, 1], "matrix": [[[True, False]]]}))
+    with pytest.raises(InvariantViolation, match="^shape: .* of bool$"):
+        load_state(path)
+
+
 def test_witness_file_round_trip(tmp_path):
     w = fixture("paper_mub_witness")
     path = tmp_path / "w.json"
