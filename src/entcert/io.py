@@ -50,7 +50,8 @@ def read_matrix_payload(path) -> tuple[tuple[int, int], np.ndarray, str | None]:
     ``DensityMatrix`` and ``Witness`` constructors.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        doc = json.loads(text)
     except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decode errors
         raise InvariantViolation(f"parse: cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
@@ -64,6 +65,12 @@ def read_matrix_payload(path) -> tuple[tuple[int, int], np.ndarray, str | None]:
         raise InvariantViolation(expected) from exc
     if pairs.shape != (d, d, 2) or pairs.dtype.kind not in "iuf":
         raise InvariantViolation(f"{expected}, got shape {pairs.shape} of {pairs.dtype}")
+    # beside a number np.array reads true as 1.0, so the entries are checked in a text with a "u" or an
+    # "l": every true and false has one, and no number or key of the schema does (a cheap memchr)
+    if ("u" in text or "l" in text) and any(
+        isinstance(x, bool) for row in doc["matrix"] for pair in row for x in pair
+    ):
+        raise InvariantViolation(f"{expected}, got a boolean entry")
     # viewing (re, im) float pairs as complex keeps the sign of zero, a + 1j*b does not
     mat = np.ascontiguousarray(pairs, dtype=float).view(np.complex128)[..., 0]
     return dims, mat, doc.get("kind")

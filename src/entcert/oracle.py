@@ -12,10 +12,9 @@ closed form on a qubit.  Whatever the optimizer reaches, the returned
 value is a distance to an explicitly separable state, hence always a
 valid upper bound on the true distance.
 
-The restarts are independent.  On Linux, on Python before 3.12, with more
-than one usable core and the OpenBLAS that numpy bundles, each runs in a
-child process forked for it, on one BLAS thread, at most one per core at
-once; elsewhere they run one after another in the calling process.
+The restarts are independent and, wherever numpy's OpenBLAS is found, run
+on one BLAS thread.  On Linux before Python 3.12 the caller runs its share
+and forks a child for each further usable core; elsewhere it runs them all.
 """
 
 from __future__ import annotations
@@ -289,91 +288,92 @@ def _openblas_function(verb: str):
 
 
 def _fork_workers(restarts: int) -> int:
-    """Children the restarts run in at once; 0 where they run inline.
+    """Children forked to share the restarts with the caller: one per further core and restart.
 
-    Inline off Linux; on Python 3.12+, whose ``fork`` warns in a process
-    with threads, as numpy's OpenBLAS threads always make it; on one usable
-    core; and without numpy's OpenBLAS, whose thread count the parent pins.
+    None off Linux; on Python 3.12+, whose ``fork`` warns in a process with threads, as numpy's
+    OpenBLAS makes it; without ``memfd_create``; and without numpy's OpenBLAS, which the caller pins.
     """
-    if sys.platform != "linux" or sys.version_info >= (3, 12) or _openblas_function("set") is None:
+    if (sys.platform != "linux" or sys.version_info >= (3, 12) or not hasattr(os, "memfd_create")
+            or _openblas_function("set") is None):
         return 0
-    cores = len(os.sched_getaffinity(0))
-    return min(cores, restarts) if cores > 1 else 0
+    return min(len(os.sched_getaffinity(0)), restarts) - 1
 
 
-def _fork_restart(args: tuple):
-    """Pid and pipe of a forked child that sends back ``_run_restart(*args)`` or the error it raised."""
+def _fork_share(runs: list[tuple]):
+    """Pid and file of a forked child that pickles into it ``_run_restart(*args)`` for each of ``runs``."""
     parent = os.getpid()
     prctl = ctypes.CDLL(None).prctl  # resolved before the fork, so the child only calls it
     prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-    read_end, write_end = os.pipe()
+    report = os.fdopen(os.memfd_create("entcert-restarts"), "w+b")  # unlike a pipe, never full
     pid = os.fork()
     if pid:
-        os.close(write_end)
-        return pid, os.fdopen(read_end, "rb")
+        return pid, report
     try:
         prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG: die with the parent, even a killed one
         if os.getppid() == parent:  # else the parent died before the line above
             try:
-                reply = _run_restart(*args)
+                for args in runs:
+                    pickle.dump(_run_restart(*args), report)
+                    report.flush()
             except Exception as exc:
-                reply = exc
-            with os.fdopen(write_end, "wb") as out:
-                pickle.dump(reply, out)
+                pickle.dump(exc, report)
+                report.flush()
             os._exit(0)
     finally:
         os._exit(1)
 
 
-_PIN_LOCK = threading.Lock()  # held by the call whose children run on the pinned OpenBLAS
+_PIN_LOCK = threading.Lock()  # held by the call that has pinned OpenBLAS to one thread
 
 
 def _run_restarts(runs: list[tuple]) -> list[tuple]:
     """``_run_restart(*args)`` for each tuple in ``runs``, in order.
 
-    Where ``_fork_workers`` allows, each restart runs in a child forked for
-    it, at most that many at once, which pickles its outcome or error into
-    a pipe; every child is reaped before this returns.  ``fork``, not
-    ``spawn`` or ``forkserver``: those re-import ``__main__``, which crashes
-    a caller's script that lacks an ``if __name__ == "__main__"`` guard.
+    With ``n = _fork_workers + 1`` processes, restart ``r`` belongs to
+    share ``r % n``: the caller runs share 0 and a child forked for each
+    other share sends back its outcomes or error; each is reaped before
+    this returns.  ``fork``: ``spawn`` and ``forkserver`` re-import
+    ``__main__``, which crashes a script without a ``__main__`` guard.
 
-    The children run on one OpenBLAS thread, which the parent pins across
-    its forks, under the lock, and then restores to the caller's count.
-    Unpinned, their threads spin against each other (the (4,4) oracle ran
-    2.3-4.8x slower on 2 cores than in one process), and one thread rounds
-    every product the same way on any machine.  Pinned in a fresh child
-    instead, OpenBLAS restarts its thread server, whose second thread
-    doubled the CPU time of 10-iteration 3x3 restarts.
+    The call runs on one OpenBLAS thread, pinned under the lock and then
+    restored to the caller's count, so products round alike under any
+    caller's setting.  Unpinned, the processes' threads spin against each
+    other (the (4,4) oracle ran 2.3-4.8x slower on 2 cores); pinned in a
+    fresh child, OpenBLAS restarts its thread server, which doubled the
+    CPU time of short 3x3 restarts.
     """
-    workers = _fork_workers(len(runs))
-    if not workers:
-        return [_run_restart(*args) for args in runs]
-    children = []  # (pid, pipe) of each running child, oldest first
-    outcomes = []
+    n = _fork_workers(len(runs)) + 1
+    set_threads = _openblas_function("set") or (lambda count: None)  # no-ops without numpy's OpenBLAS
+    get_threads = _openblas_function("get") or (lambda: None)
+    outcomes = [None] * len(runs)
+    children = []  # (share, pid, file) of each child not yet reaped
     with _PIN_LOCK:
-        caller_threads = _openblas_function("get")()
-        _openblas_function("set")(1)
+        caller_threads = get_threads()
+        set_threads(1)
         try:
-            for restart in range(len(runs)):
-                children.extend(map(_fork_restart, runs[restart + len(children):restart + workers]))
-                pid, report = children[0]
-                data = report.read()
+            children.extend((share, *_fork_share(runs[share::n])) for share in range(1, n))
+            outcomes[::n] = [_run_restart(*args) for args in runs[::n]]
+            while children:
+                share, pid, report = children[0]
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 children.pop(0)
-                report.close()
-                if code:
-                    end = f"signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exit code {code}"
-                    raise NumericalError(f"oracle restart {restart}: its process ended with {end}")
-                outcomes.append(pickle.loads(data))
-                if isinstance(outcomes[-1], Exception):
-                    raise outcomes[-1]
+                with report:
+                    report.seek(0)
+                    for restart in range(share, len(runs), n):
+                        try:
+                            outcomes[restart] = pickle.load(report)
+                        except (EOFError, pickle.UnpicklingError):  # the child died in this restart
+                            end = f"signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exit code {code}"
+                            raise NumericalError(f"oracle restart {restart}: its process ended with {end}") from None
+                        if isinstance(outcomes[restart], Exception):
+                            raise outcomes[restart]
             return outcomes
         finally:
-            for pid, report in children:
+            for _, pid, report in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
                 report.close()
-            _openblas_function("set")(caller_threads)
+            set_threads(caller_threads)
 
 
 def dsep_upper(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:
@@ -381,10 +381,9 @@ def dsep_upper(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleRes
 
     Runs ``cfg.restarts`` independently seeded Frank-Wolfe minimizations,
     each capped at ``max_iters`` iterations, and keeps the best, the
-    earliest restart on a tie.  In a forked child each restart runs on one
-    BLAS thread, so the output does not depend on the core count or the
-    caller's BLAS thread count; run inline, it uses the caller's BLAS,
-    whose threads may round large products differently.
+    earliest restart on a tie.  Wherever numpy's OpenBLAS is found, every
+    restart runs on one BLAS thread, so the output depends neither on the
+    core count nor on the caller's BLAS thread count.
     ``converged`` means the Frank-Wolfe gap over the refined candidates
     fell below ``convergence_tol``.  The candidate search is a heuristic,
     so this is a stall test, not a proof of optimality.  Converged or

@@ -171,6 +171,11 @@ def test_invalid_state_file(tmp_path):
     proc = run_cli("pure", "--state", str(bad))
     assert proc.returncode == 1
     assert "trace" in proc.stderr or "hermiticity" in proc.stderr
+    mixed = tmp_path / "bool.json"  # read as the state 1 if the boolean is taken for 1.0
+    mixed.write_text(json.dumps({"dims": [1, 1], "matrix": [[[True, 0.0]]]}))
+    proc = run_cli("twirl", "--state", str(mixed))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("entcert: error: shape:")
 
 
 def test_missing_file_is_input_error():

@@ -242,14 +242,17 @@ def test_oracle_monotone_in_restarts():
     assert all(values[i + 1] <= values[i] + 1e-15 for i in range(3))
 
 
-def _serial_reference(rho, cfg):
-    """Every restart in this process, in order, and the winner by dsep_upper's rule."""
-    outcomes = [
-        oracle._run_restart(
-            rho.mat, rho.dims, np.random.default_rng([cfg.seed, r]), cfg.max_iters, cfg.convergence_tol
-        )
+def _runs(rho, cfg):
+    """The argument tuples dsep_upper hands to ``_run_restarts``."""
+    return [
+        (rho.mat, rho.dims, np.random.default_rng([cfg.seed, r]), cfg.max_iters, cfg.convergence_tol)
         for r in range(cfg.restarts)
     ]
+
+
+def _serial_reference(rho, cfg):
+    """Every restart in this process, in order, and the winner by dsep_upper's rule."""
+    outcomes = [oracle._run_restart(*args) for args in _runs(rho, cfg)]
     best = None
     for outcome in outcomes:
         if best is None or outcome[0] < best[0]:
@@ -267,6 +270,12 @@ def _assert_same_bytes(res, outcome):
         assert got.tobytes() == want.tobytes()
 
 
+def _outcome_bytes(outcome):
+    obj, sigma, weights, avecs, bvecs, iters, converged = outcome
+    arrays = [(a.dtype, a.shape, a.tobytes()) for a in (sigma, weights, avecs, bvecs)]
+    return np.float64(obj).tobytes(), iters, converged, arrays
+
+
 def test_oracle_deterministic(rng):
     rho = fixture("bell(2)")
     cfg = OracleConfig(restarts=2, max_iters=100, convergence_tol=1e-9, seed=9)
@@ -274,51 +283,74 @@ def test_oracle_deterministic(rng):
     b = dsep_upper(rho, cfg)
     assert a.dsep_upper == b.dsep_upper
     assert np.array_equal(a.sigma.mat, b.sigma.mat)
-    # pooled or inline, the result is the serial loop's winner, byte for byte
+    # shared out between processes or not, the result is the serial loop's winner, byte for byte;
+    # with more restarts than two per process, the strided shares come back in restart order
     wishart = DensityMatrix(dims=(2, 3), mat=random_density(rng, 6))
     for state in (wishart, rho):
-        for restarts in (1, 2, 3):
+        for restarts in (1, 2, 3, 5):
             cfg = OracleConfig(restarts=restarts, max_iters=100, convergence_tol=1e-9, seed=9)
             outcomes, best = _serial_reference(state, cfg)
             _assert_same_bytes(dsep_upper(state, cfg), best)
-        assert len({o[0] for o in outcomes}) == 3  # tie-free, so the winner is unique
+            merged = oracle._run_restarts(_runs(state, cfg))
+            assert list(map(_outcome_bytes, merged)) == list(map(_outcome_bytes, outcomes))
+        assert len({o[0] for o in outcomes}) == 5  # tie-free, so the winner is unique
         assert best is not outcomes[0]  # and it is not simply the first restart
 
 
-def test_oracle_worker_error_reaches_caller():
+def _spoil_restart(monkeypatch, restart, spoil):
+    """Runs ``spoil()`` at the start of that restart; with two processes its share is ``restart % 2``."""
+    run = oracle._run_restart
+
+    def spoiled(rho, dims, rng, *rest):
+        if rng.bit_generator.seed_seq.entropy[1] == restart:  # seeded [cfg.seed, restart]
+            spoil()
+        return run(rho, dims, rng, *rest)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(oracle, "_run_restart", spoiled)
+
+
+def _fail():
+    raise ValueError("restart 3 failed")
+
+
+def test_oracle_worker_error_reaches_caller(monkeypatch):
     rho = DensityMatrix(dims=(2, 2), mat=np.eye(4) / 4)
     rho.dims = (2, 3)  # a 4x4 matrix the restarts cannot reshape
     with pytest.raises(ValueError, match="reshape"):
         dsep_upper(rho, OracleConfig(restarts=3, max_iters=5))
     rho.dims = (2, 2)
     assert dsep_upper(rho, FAST).dsep_upper <= 1e-6
+    # an error in the child's share, after the child has sent restart 1
+    _spoil_restart(monkeypatch, 3, _fail)
+    with pytest.raises(ValueError, match="^restart 3 failed$"):
+        dsep_upper(rho, OracleConfig(restarts=5, max_iters=5))
 
 
-INLINE = "restarts run inline: one usable core, not Linux, Python 3.12+ or no OpenBLAS setter"
-POOLED = OracleConfig(restarts=3, max_iters=100, convergence_tol=1e-9, seed=9)
+UNFORKED = "nothing is forked: one usable core, not Linux, Python 3.12+, no memfd_create or no OpenBLAS setter"
+FORKED = OracleConfig(restarts=3, max_iters=100, convergence_tol=1e-9, seed=9)
 # these tests fork a process that has BLAS threads, which Python 3.12+ warns about
 forks = pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
 
 
 def test_oracle_reports_a_killed_restart(monkeypatch, tmp_path, capsys):
-    if oracle._fork_workers(POOLED.restarts) == 0:
-        pytest.skip(INLINE)  # the patched restart below would kill this process
+    if oracle._fork_workers(FORKED.restarts) == 0:
+        pytest.skip(UNFORKED)  # the patched restart below would kill this process
+    # the caller runs the even restarts, so only the child is killed
     rho = fixture("bell(2)")
-    run = oracle._run_restart
-
-    def restart_1_dies(rho, dims, rng, *rest):
-        if rng.bit_generator.seed_seq.entropy[1] == 1:  # seeded [cfg.seed, restart]
-            os.kill(os.getpid(), signal.SIGKILL)
-        return run(rho, dims, rng, *rest)
-
-    monkeypatch.setattr(oracle, "_run_restart", restart_1_dies)
+    _spoil_restart(monkeypatch, 1, lambda: os.kill(os.getpid(), signal.SIGKILL))
     with pytest.raises(NumericalError, match=r"^oracle restart 1: .*signal 9 "):
-        dsep_upper(rho, POOLED)
+        dsep_upper(rho, FORKED)
     save_state(rho, tmp_path / "bell2.json")
     assert main(["oracle", "--state", str(tmp_path / "bell2.json"), "--restarts", "3"]) == 2
     assert "numerical failure: oracle restart 1: " in capsys.readouterr().err
+    # the child sends restart 1 before it dies in restart 3
     monkeypatch.undo()
-    _assert_same_bytes(dsep_upper(rho, POOLED), _serial_reference(rho, POOLED)[1])
+    _spoil_restart(monkeypatch, 3, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(NumericalError, match=r"^oracle restart 3: .*signal 9 "):
+        dsep_upper(rho, OracleConfig(restarts=5, max_iters=5))
+    monkeypatch.undo()
+    _assert_same_bytes(dsep_upper(rho, FORKED), _serial_reference(rho, FORKED)[1])
 
 
 @forks
@@ -326,8 +358,8 @@ def test_oracle_in_a_daemonic_worker():
     # os.fork is allowed in a daemonic multiprocessing.Pool worker, so its restarts fork too
     rho = fixture("bell(2)")
     with multiprocessing.get_context("fork").Pool(1) as workers:
-        res = workers.apply_async(dsep_upper, (rho, POOLED)).get(timeout=60)
-    _assert_same_bytes(res, _serial_reference(rho, POOLED)[1])
+        res = workers.apply_async(dsep_upper, (rho, FORKED)).get(timeout=60)
+    _assert_same_bytes(res, _serial_reference(rho, FORKED)[1])
 
 
 def _oracle_to_queue(rho, cfg, out):
@@ -338,10 +370,10 @@ def _oracle_to_queue(rho, cfg, out):
 def test_oracle_in_a_process_child_after_a_pooled_call():
     # the child forks its own restarts and still exits: it leaves no children to join
     rho = fixture("bell(2)")
-    dsep_upper(rho, POOLED)
+    dsep_upper(rho, FORKED)
     ctx = multiprocessing.get_context("fork")
     out = ctx.Queue()
-    child = ctx.Process(target=_oracle_to_queue, args=(rho, POOLED, out))
+    child = ctx.Process(target=_oracle_to_queue, args=(rho, FORKED, out))
     child.start()
     try:
         res = out.get(timeout=60)
@@ -350,20 +382,20 @@ def test_oracle_in_a_process_child_after_a_pooled_call():
     finally:
         child.kill()
         child.join()
-    _assert_same_bytes(res, _serial_reference(rho, POOLED)[1])
+    _assert_same_bytes(res, _serial_reference(rho, FORKED)[1])
 
 
 @forks
 def test_oracle_in_a_bare_fork_after_a_pooled_call():
     # the parent's call left nothing behind that the child's own call could trip over
     rho = fixture("bell(2)")
-    dsep_upper(rho, POOLED)
+    dsep_upper(rho, FORKED)
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child reports through the pipe and never returns into pytest
         try:
             os.close(read_end)
-            res = dsep_upper(rho, POOLED)
+            res = dsep_upper(rho, FORKED)
             with os.fdopen(write_end, "wb") as out:
                 pickle.dump(res, out)
         finally:
@@ -376,14 +408,14 @@ def test_oracle_in_a_bare_fork_after_a_pooled_call():
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    _assert_same_bytes(res, _serial_reference(rho, POOLED)[1])
+    _assert_same_bytes(res, _serial_reference(rho, FORKED)[1])
 
 
 def test_bare_fork_after_a_pooled_call_exits_cleanly():
     # the parent's call leaves no children that the exit handler of multiprocessing
     # could take for the child's and try to join, printing a traceback
     probe = (
-        f"import os, sys; from entcert import *; dsep_upper(fixture('bell(2)'), {POOLED!r})\n"
+        f"import os, sys; from entcert import *; dsep_upper(fixture('bell(2)'), {FORKED!r})\n"
         "pid = os.fork()\n"
         "if pid == 0: sys.exit(0)\n"
         "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))"
@@ -402,8 +434,8 @@ def _python(code, *flags):
 
 
 def test_oracle_under_warnings_as_errors():
-    probe = f"from entcert import *; print(repr(dsep_upper(fixture('bell(2)'), {POOLED!r}).dsep_upper))"
-    assert _python(probe, "-W", "error") == f"{dsep_upper(fixture('bell(2)'), POOLED).dsep_upper!r}\n"
+    probe = f"from entcert import *; print(repr(dsep_upper(fixture('bell(2)'), {FORKED!r}).dsep_upper))"
+    assert _python(probe, "-W", "error") == f"{dsep_upper(fixture('bell(2)'), FORKED).dsep_upper!r}\n"
 
 
 def test_no_pool_from_python_3_12(monkeypatch):
@@ -417,7 +449,7 @@ def test_no_pool_without_openblas(monkeypatch):
     monkeypatch.setattr(oracle, "_openblas_function", lambda verb: None)
     assert oracle._fork_workers(3) == 0
     rho = fixture("bell(2)")
-    _assert_same_bytes(dsep_upper(rho, POOLED), _serial_reference(rho, POOLED)[1])
+    _assert_same_bytes(dsep_upper(rho, FORKED), _serial_reference(rho, FORKED)[1])
 
 
 def _blas_threads():
@@ -426,18 +458,35 @@ def _blas_threads():
     return get and get()
 
 
-def test_pool_workers_run_one_blas_thread(monkeypatch):
-    if oracle._fork_workers(8) == 0:
-        pytest.skip(INLINE)
+def test_restarts_run_one_blas_thread(monkeypatch):
     set_threads = oracle._openblas_function("set")
+    if set_threads is None:
+        pytest.skip("no OpenBLAS thread setter")
     caller = _blas_threads()
-    set_threads(2)  # a count the children must not inherit
+    set_threads(2)  # a count neither the caller's restarts nor the children may run with
     try:
         monkeypatch.setattr(oracle, "_run_restart", lambda *args: _blas_threads())
         assert oracle._run_restarts([()] * 8) == [1] * 8  # the patch is forked with the process
         assert _blas_threads() == 2  # the caller's own setting is restored
+        # one usable core: the caller runs every restart itself, still on one thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert oracle._fork_workers(8) == 0
+        assert oracle._run_restarts([()] * 8) == [1] * 8
+        assert _blas_threads() == 2
     finally:
         set_threads(caller)
+
+
+def test_a_call_forks_one_child_per_further_core(monkeypatch):
+    if oracle._fork_workers(FORKED.restarts) == 0:
+        pytest.skip(UNFORKED)
+    fork, forked = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forked.append(os.getpid()) or fork())
+    cores = len(os.sched_getaffinity(0))
+    for restarts in (2, 20):
+        forked.clear()
+        dsep_upper(fixture("bell(2)"), OracleConfig(restarts=restarts, max_iters=5))
+        assert len(forked) == min(cores, restarts) - 1
 
 
 def test_concurrent_calls_keep_the_callers_blas_threads(rng):
@@ -447,7 +496,7 @@ def test_concurrent_calls_keep_the_callers_blas_threads(rng):
     results = [None] * len(states)
 
     def call(i):
-        results[i] = dsep_upper(states[i], POOLED)
+        results[i] = dsep_upper(states[i], FORKED)
 
     threads = [threading.Thread(target=call, args=(i,)) for i in range(len(states))]
     interval = sys.getswitchinterval()
@@ -461,7 +510,7 @@ def test_concurrent_calls_keep_the_callers_blas_threads(rng):
     finally:
         sys.setswitchinterval(interval)
     for state, res in zip(states, results):
-        _assert_same_bytes(res, _serial_reference(state, POOLED)[1])
+        _assert_same_bytes(res, _serial_reference(state, FORKED)[1])
     assert _blas_threads() == caller
 
 
@@ -473,20 +522,24 @@ def _alive(pid):
         return False
 
 
-def test_pool_workers_exit_with_their_parent():
+def test_restart_children_exit_with_their_parent():
     # a caller killed in the middle of a call takes its restart children with it
-    if oracle._fork_workers(POOLED.restarts) == 0:
-        pytest.skip(INLINE)
+    children = oracle._fork_workers(FORKED.restarts)
+    if children == 0:
+        pytest.skip(UNFORKED)
     probe = (
         "import os, time; from entcert import *; from entcert import oracle\n"
         "oracle._run_restart = lambda *args: os.write(1, b'%d\\n' % os.getpid()) and time.sleep(120)\n"
-        f"dsep_upper(fixture('bell(2)'), {POOLED!r})"
+        f"dsep_upper(fixture('bell(2)'), {FORKED!r})"
     )
     with subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True) as parent:
         try:
-            workers = [int(parent.stdout.readline()) for _ in range(oracle._fork_workers(POOLED.restarts))]
+            # every process of the call reports once: the caller, running its share, and each child
+            pids = {int(parent.stdout.readline()) for _ in range(children + 1)}
         finally:
             parent.kill()  # no cleanup runs in the parent
+    workers = sorted(pids - {parent.pid})
+    assert len(workers) == children
     deadline = time.monotonic() + 30
     while any(map(_alive, workers)) and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -499,7 +552,7 @@ def test_pool_workers_exit_with_their_parent():
 def test_import_builds_no_pool():
     # the pool modules take about 20 ms to import (2-core x86); neither import nor a call pays
     imported = "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-    probe = f"import sys; from entcert import *\n{imported}\ndsep_upper(fixture('bell(2)'), {POOLED!r})\n{imported}"
+    probe = f"import sys; from entcert import *\n{imported}\ndsep_upper(fixture('bell(2)'), {FORKED!r})\n{imported}"
     assert _python(probe) == "[]\n[]\n"
 
 

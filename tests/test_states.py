@@ -199,6 +199,11 @@ def test_load_rejects_boolean_entries(tmp_path):
     path.write_text(json.dumps({"dims": [1, 1], "matrix": [[[True, False]]]}))
     with pytest.raises(InvariantViolation, match="^shape: .* of bool$"):
         load_state(path)
+    # np.array casts a boolean beside a number to 1.0 or 0.0, which would load as the state 1
+    for pair in ([True, 0.0], [1.0, False]):
+        path.write_text(json.dumps({"dims": [1, 1], "matrix": [[pair]]}))
+        with pytest.raises(InvariantViolation, match="^shape: .*, got a boolean entry$"):
+            load_state(path)
 
 
 def test_witness_file_round_trip(tmp_path):
