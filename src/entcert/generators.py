@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import as_matrix, as_stack, kron, require
+from .linalg import as_matrix, as_stack, kron, require, require_hermitian
 
 
 @dataclass
@@ -31,8 +31,7 @@ class GeneratorSet:
             raise InvariantViolation(
                 f"shape: expected {n} generators of size {self.d}x{self.d}, got {self.gens.shape}"
             )
-        defect = np.abs(self.gens - self.gens.conj().swapaxes(1, 2)).max()
-        require(defect, TOLS.hermiticity, "hermiticity: generator set has max |A - A^dag|")
+        require_hermitian(self.gens, "generator set")
         defect = np.abs(np.trace(self.gens, axis1=1, axis2=2)).max()
         require(defect, 1e-12, "tracelessness: max |Tr g_k|")
         flat = self.gens.reshape(n, -1)

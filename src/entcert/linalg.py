@@ -2,15 +2,16 @@
 
 Hilbert-Schmidt inner products and norms, Kronecker products, partial
 trace/transpose over a bipartite splitting, Hermitian eigendecomposition
-and SVD, plus the dims and Hermiticity checks shared by the bipartite
-types and ``require``, the one tolerance check that every constructor
-invariant goes through.  Matrices are plain ``numpy`` arrays of
-``complex128``; the eigen/SVD work is delegated to LAPACK, the contract
-here is the residual bound, not the algorithm.
+and SVD, plus the dims and Hermiticity checks and the ``Checked`` base
+shared by the bipartite types, and ``require``, the one tolerance check
+that every constructor invariant goes through.  Matrices are plain
+``numpy`` arrays of ``complex128``; the eigen/SVD work is delegated to
+LAPACK, the contract here is the residual bound, not the algorithm.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 
 import numpy as np
@@ -23,6 +24,19 @@ def require(defect: float, tol: float, what: str) -> None:
     """Raise unless ``defect <= tol``; a NaN defect always fails."""
     if not defect <= tol:
         raise InvariantViolation(f"{what} = {defect:.3e} exceeds {tol:.1e}")
+
+
+def require_hermitian(mats: np.ndarray, what: str) -> None:
+    """Refuse a matrix, or a stack of them, further than ``TOLS.hermiticity`` from Hermitian."""
+    defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
+    require(defect, TOLS.hermiticity, f"hermiticity: {what} has max |A - A^dag|")
+
+
+class Checked:
+    """Base of the checked dataclasses: a copy or an unpickled object is rebuilt by the constructor."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -82,8 +96,7 @@ def bipartite_operator(dims, entries, what: str) -> tuple[tuple[int, int], np.nd
     d = dims[0] * dims[1]
     if mat.shape != (d, d):
         raise DimensionMismatch(f"dims: {what} is {mat.shape}, dims {dims} require {(d, d)}")
-    defect = np.abs(mat - mat.conj().T).max()
-    require(defect, TOLS.hermiticity, f"hermiticity: {what} has max |A - A^dag|")
+    require_hermitian(mat, what)
     mat = mat.copy()
     mat.setflags(write=False)  # safe to share across concurrent readers
     return dims, mat
@@ -158,8 +171,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_matrix(a)
     _require_square(a)
-    defect = np.abs(a - a.conj().T).max()
-    require(defect, TOLS.hermiticity, "hermiticity: matrix has max |A - A^dag|")
+    require_hermitian(a, "matrix")
     try:
         w, v = np.linalg.eigh((a + a.conj().T) / 2)
     except np.linalg.LinAlgError as exc:

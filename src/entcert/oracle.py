@@ -82,7 +82,7 @@ class OracleConfig:
 
 @dataclass
 class OracleResult:
-    """Best separable approximation found, with its achieving ensemble."""
+    """A separable approximation and its ensemble, from one restart or the best of ``dsep_upper``'s."""
 
     dsep_upper: float
     sigma: DensityMatrix
@@ -218,14 +218,8 @@ def _top_products(r4: np.ndarray, a: np.ndarray, b: np.ndarray):
     return a, b
 
 
-def _run_restart(
-    rho: np.ndarray,
-    dims: tuple[int, int],
-    rng: np.random.Generator,
-    max_iters: int,
-    tol: float,
-):
-    """One fully-corrective Frank-Wolfe run (Gilbert's algorithm).
+def _run_restart(rho: DensityMatrix, cfg: OracleConfig, restart: int) -> OracleResult:
+    """One fully-corrective Frank-Wolfe run (Gilbert's algorithm), seeded ``[cfg.seed, restart]``.
 
     Each iteration refines the active atoms and ``dA*dB`` fresh Haar
     product states against the residual ``R = rho - sigma``, adds every
@@ -235,16 +229,17 @@ def _run_restart(
     best few is what lets the atoms move: an old atom and its refined
     copy sit side by side and the weight solve picks between them.  The
     run stops once the Frank-Wolfe gap ``max_x <x|R|x> - Tr(R sigma)``
-    over the candidates falls below ``tol``.
+    over the candidates falls below ``cfg.convergence_tol``.
     """
-    da, db = dims
+    rng = np.random.default_rng([cfg.seed, restart])
+    da, db = rho.dims
     avecs = np.empty((da, 0), dtype=complex)
     bvecs = np.empty((db, 0), dtype=complex)
     weights = np.empty(0)
-    sigma = np.zeros_like(rho)
+    sigma = np.zeros_like(rho.mat)
     converged = False
-    for iters in range(1, max_iters + 1):
-        resid = rho - sigma
+    for iters in range(1, cfg.max_iters + 1):
+        resid = rho.mat - sigma
         cand_a, cand_b = _top_products(
             resid.reshape(da, db, da, db),
             np.concatenate([avecs, _haar_columns(rng, da, da * db)], axis=1),
@@ -252,20 +247,22 @@ def _run_restart(
         )
         cands = _product_columns(cand_a, cand_b)
         top = np.einsum("di,di->i", cands.conj(), resid @ cands).real.max()
-        if weights.size and top - np.vdot(sigma, resid).real < tol:
+        if weights.size and top - np.vdot(sigma, resid).real < cfg.convergence_tol:
             converged = True
             break
         avecs = np.concatenate([avecs, cand_a], axis=1)
         bvecs = np.concatenate([bvecs, cand_b], axis=1)
         prods = _product_columns(avecs, bvecs)
         q = np.abs(avecs.conj().T @ avecs) ** 2 * np.abs(bvecs.conj().T @ bvecs) ** 2
-        c = np.einsum("di,di->i", prods.conj(), rho @ prods).real
+        c = np.einsum("di,di->i", prods.conj(), rho.mat @ prods).real
         weights = _simplex_lsq(q, c, np.concatenate([weights, np.zeros(cands.shape[1])]))
         keep = weights > _WEIGHT_FLOOR
         weights, avecs, bvecs = weights[keep], avecs[:, keep], bvecs[:, keep]
         prods = prods[:, keep]
         sigma = (prods * weights) @ prods.conj().T
-    return float(np.linalg.norm(rho - sigma)), sigma, weights, avecs, bvecs, iters, converged
+    return OracleResult(dsep_upper=float(np.linalg.norm(rho.mat - sigma)),
+                        sigma=DensityMatrix(dims=rho.dims, mat=sigma), iterations_used=iters,
+                        converged=converged, weights=weights, vectors_a=avecs, vectors_b=bvecs)
 
 
 # argtypes and restype of openblas_{verb}_num_threads
@@ -299,21 +296,25 @@ def _fork_workers(restarts: int) -> int:
     return min(len(os.sched_getaffinity(0)), restarts) - 1
 
 
-def _fork_share(runs: list[tuple]):
-    """Pid and file of a forked child that pickles into it ``_run_restart(*args)`` for each of ``runs``."""
+def _fork_share(rho: DensityMatrix, cfg: OracleConfig, restarts: range):
+    """Pid and file of a forked child that pickles into it the result of each restart in ``restarts``."""
     parent = os.getpid()
     prctl = ctypes.CDLL(None).prctl  # resolved before the fork, so the child only calls it
     prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
     report = os.fdopen(os.memfd_create("entcert-restarts"), "w+b")  # unlike a pipe, never full
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        report.close()
+        raise
     if pid:
         return pid, report
     try:
         prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG: die with the parent, even a killed one
         if os.getppid() == parent:  # else the parent died before the line above
             try:
-                for args in runs:
-                    pickle.dump(_run_restart(*args), report)
+                for restart in restarts:
+                    pickle.dump(_run_restart(rho, cfg, restart), report)
                     report.flush()
             except Exception as exc:
                 pickle.dump(exc, report)
@@ -326,14 +327,15 @@ def _fork_share(runs: list[tuple]):
 _PIN_LOCK = threading.Lock()  # held by the call that has pinned OpenBLAS to one thread
 
 
-def _run_restarts(runs: list[tuple]) -> list[tuple]:
-    """``_run_restart(*args)`` for each tuple in ``runs``, in order.
+def _run_restarts(rho: DensityMatrix, cfg: OracleConfig) -> list[OracleResult]:
+    """``_run_restart(rho, cfg, r)`` for each of the ``cfg.restarts`` restarts, in order.
 
-    With ``n = _fork_workers + 1`` processes, restart ``r`` belongs to
-    share ``r % n``: the caller runs share 0 and a child forked for each
-    other share sends back its outcomes or error; each is reaped before
-    this returns.  ``fork``: ``spawn`` and ``forkserver`` re-import
-    ``__main__``, which crashes a script without a ``__main__`` guard.
+    With ``n = _fork_workers + 1`` processes, share ``s`` holds the
+    restarts ``range(cfg.restarts)[s::n]``: the caller runs share 0 and a
+    child forked for each other share, which inherits ``rho`` and ``cfg``,
+    sends back its results or error; each is reaped before this returns.
+    ``fork``: ``spawn`` and ``forkserver`` re-import ``__main__``, which
+    crashes a script without a ``__main__`` guard.
 
     The call runs on one OpenBLAS thread, pinned under the lock and then
     restored to the caller's count, so products round alike under any
@@ -342,32 +344,33 @@ def _run_restarts(runs: list[tuple]) -> list[tuple]:
     fresh child, OpenBLAS restarts its thread server, which doubled the
     CPU time of short 3x3 restarts.
     """
-    n = _fork_workers(len(runs)) + 1
+    n = _fork_workers(cfg.restarts) + 1
+    shares = [range(cfg.restarts)[s::n] for s in range(n)]
     set_threads = _openblas_function("set") or (lambda count: None)  # no-ops without numpy's OpenBLAS
     get_threads = _openblas_function("get") or (lambda: None)
-    outcomes = [None] * len(runs)
+    results = [None] * cfg.restarts
     children = []  # (share, pid, file) of each child not yet reaped
     with _PIN_LOCK:
         caller_threads = get_threads()
         set_threads(1)
         try:
-            children.extend((share, *_fork_share(runs[share::n])) for share in range(1, n))
-            outcomes[::n] = [_run_restart(*args) for args in runs[::n]]
+            children.extend((share, *_fork_share(rho, cfg, share)) for share in shares[1:])
+            results[::n] = [_run_restart(rho, cfg, restart) for restart in shares[0]]
             while children:
                 share, pid, report = children[0]
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 children.pop(0)
                 with report:
                     report.seek(0)
-                    for restart in range(share, len(runs), n):
+                    for restart in share:
                         try:
-                            outcomes[restart] = pickle.load(report)
+                            results[restart] = pickle.load(report)
                         except (EOFError, pickle.UnpicklingError):  # the child died in this restart
                             end = f"signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exit code {code}"
                             raise NumericalError(f"oracle restart {restart}: its process ended with {end}") from None
-                        if isinstance(outcomes[restart], Exception):
-                            raise outcomes[restart]
-            return outcomes
+                        if isinstance(results[restart], Exception):
+                            raise results[restart]
+            return results
         finally:
             for _, pid, report in children:
                 os.kill(pid, signal.SIGKILL)
@@ -380,29 +383,15 @@ def dsep_upper(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleRes
     """Upper bound on the Frobenius distance to the separable set.
 
     Runs ``cfg.restarts`` independently seeded Frank-Wolfe minimizations,
-    each capped at ``max_iters`` iterations, and keeps the best, the
-    earliest restart on a tie.  Wherever numpy's OpenBLAS is found, every
-    restart runs on one BLAS thread, so the output depends neither on the
-    core count nor on the caller's BLAS thread count.
+    each capped at ``max_iters`` iterations, and returns the result of the
+    best, the earliest restart on a tie.  Wherever numpy's OpenBLAS is
+    found, every restart runs on one BLAS thread, so the output depends
+    neither on the core count nor on the caller's BLAS thread count.
     ``converged`` means the Frank-Wolfe gap over the refined candidates
     fell below ``convergence_tol``.  The candidate search is a heuristic,
     so this is a stall test, not a proof of optimality.  Converged or
     capped, the value is the exact distance to the returned explicit
     ensemble, hence always a valid upper bound.
     """
-    cfg = cfg or OracleConfig()
-    runs = [
-        (rho.mat, rho.dims, np.random.default_rng([cfg.seed, r]), cfg.max_iters, cfg.convergence_tol)
-        for r in range(cfg.restarts)
-    ]
     # min keeps the first of equal values: the earliest restart wins a tie
-    obj, sigma, weights, avecs, bvecs, iters, converged = min(_run_restarts(runs), key=lambda o: o[0])
-    return OracleResult(
-        dsep_upper=obj,
-        sigma=DensityMatrix(dims=rho.dims, mat=sigma),
-        iterations_used=iters,
-        converged=converged,
-        weights=weights,
-        vectors_a=avecs,
-        vectors_b=bvecs,
-    )
+    return min(_run_restarts(rho, cfg or OracleConfig()), key=lambda res: res.dsep_upper)

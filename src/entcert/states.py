@@ -1,10 +1,10 @@
 """Bipartite state types and the Schmidt decomposition.
 
-``DensityMatrix`` and ``PureState`` validate on construction and hold
-read-only arrays; ``schmidt`` splits a pure state into its coefficients
-and local bases.  ``bell_state`` and ``singlet_state`` build the standard
-maximally entangled states.  File I/O and named fixtures live in
-``entcert.io``.
+``DensityMatrix`` and ``PureState`` validate on construction, also when
+copied or unpickled, and hold read-only arrays; ``schmidt`` splits a
+pure state into its coefficients and local bases.  ``bell_state`` and
+``singlet_state`` build the standard maximally entangled states.  File
+I/O and named fixtures live in ``entcert.io``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import numpy as np
 
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import as_matrix, bipartite_dims, bipartite_operator, require, svd
+from .linalg import Checked, as_matrix, bipartite_dims, bipartite_operator, require, svd
 
 
 @dataclass
-class DensityMatrix:
+class DensityMatrix(Checked):
     """Bipartite mixed state: Hermitian, unit trace, PSD within tolerance."""
 
     dims: tuple[int, int]
@@ -33,7 +33,7 @@ class DensityMatrix:
 
 
 @dataclass
-class PureState:
+class PureState(Checked):
     """Bipartite pure state vector of length dA*dB, unit norm."""
 
     dims: tuple[int, int]
@@ -48,9 +48,8 @@ class PureState:
                 f"dims: vector has length {vec.shape[0]}, dims {self.dims} require {d}"
             )
         require(abs(np.linalg.norm(vec) - 1.0), TOLS.unit_norm, "norm: | ||psi|| - 1 |")
-        vec = vec.copy()
-        vec.setflags(write=False)
-        self.vec = vec
+        self.vec = vec.copy()
+        self.vec.setflags(write=False)
 
     def projector(self) -> DensityMatrix:
         return DensityMatrix(dims=self.dims, mat=np.outer(self.vec, self.vec.conj()))

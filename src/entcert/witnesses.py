@@ -22,14 +22,14 @@ import numpy as np
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
 from .generators import GeneratorSet, swap_operator
-from .linalg import as_stack, bipartite_operator, frobenius_inner, partial_trace, require
+from .linalg import Checked, as_stack, bipartite_operator, frobenius_inner, partial_trace, require
 
 if TYPE_CHECKING:
     from .states import DensityMatrix
 
 
 @dataclass
-class Witness:
+class Witness(Checked):
     """Hermitian observable on a dA x dB bipartite space (need not be PSD)."""
 
     dims: tuple[int, int]

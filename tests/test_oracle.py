@@ -1,3 +1,4 @@
+import errno
 import multiprocessing
 import os
 import pickle
@@ -242,38 +243,25 @@ def test_oracle_monotone_in_restarts():
     assert all(values[i + 1] <= values[i] + 1e-15 for i in range(3))
 
 
-def _runs(rho, cfg):
-    """The argument tuples dsep_upper hands to ``_run_restarts``."""
-    return [
-        (rho.mat, rho.dims, np.random.default_rng([cfg.seed, r]), cfg.max_iters, cfg.convergence_tol)
-        for r in range(cfg.restarts)
-    ]
-
-
 def _serial_reference(rho, cfg):
-    """Every restart in this process, in order, and the winner by dsep_upper's rule."""
-    outcomes = [oracle._run_restart(*args) for args in _runs(rho, cfg)]
+    """Every restart's result in this process, in order, and the winner by dsep_upper's rule."""
+    results = [oracle._run_restart(rho, cfg, restart) for restart in range(cfg.restarts)]
     best = None
-    for outcome in outcomes:
-        if best is None or outcome[0] < best[0]:
-            best = outcome
-    return outcomes, best
+    for res in results:
+        if best is None or res.dsep_upper < best.dsep_upper:
+            best = res
+    return results, best
 
 
-def _assert_same_bytes(res, outcome):
-    obj, sigma, weights, avecs, bvecs, iters, converged = outcome
-    assert np.float64(res.dsep_upper).tobytes() == np.float64(obj).tobytes()
-    assert (res.iterations_used, res.converged) == (iters, converged)
-    for got, want in ((res.sigma.mat, sigma), (res.weights, weights),
-                      (res.vectors_a, avecs), (res.vectors_b, bvecs)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
-def _outcome_bytes(outcome):
-    obj, sigma, weights, avecs, bvecs, iters, converged = outcome
-    arrays = [(a.dtype, a.shape, a.tobytes()) for a in (sigma, weights, avecs, bvecs)]
-    return np.float64(obj).tobytes(), iters, converged, arrays
+def _assert_same_bytes(res, want):
+    """Two oracle results are equal byte for byte, and ``res.sigma`` is read-only."""
+    assert np.float64(res.dsep_upper).tobytes() == np.float64(want.dsep_upper).tobytes()
+    assert (res.iterations_used, res.converged) == (want.iterations_used, want.converged)
+    assert res.sigma.dims == want.sigma.dims and not res.sigma.mat.flags.writeable
+    for got, expected in ((res.sigma.mat, want.sigma.mat), (res.weights, want.weights),
+                          (res.vectors_a, want.vectors_a), (res.vectors_b, want.vectors_b)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_oracle_deterministic(rng):
@@ -289,22 +277,24 @@ def test_oracle_deterministic(rng):
     for state in (wishart, rho):
         for restarts in (1, 2, 3, 5):
             cfg = OracleConfig(restarts=restarts, max_iters=100, convergence_tol=1e-9, seed=9)
-            outcomes, best = _serial_reference(state, cfg)
+            results, best = _serial_reference(state, cfg)
             _assert_same_bytes(dsep_upper(state, cfg), best)
-            merged = oracle._run_restarts(_runs(state, cfg))
-            assert list(map(_outcome_bytes, merged)) == list(map(_outcome_bytes, outcomes))
-        assert len({o[0] for o in outcomes}) == 5  # tie-free, so the winner is unique
-        assert best is not outcomes[0]  # and it is not simply the first restart
+            merged = oracle._run_restarts(state, cfg)
+            assert len(merged) == len(results)
+            for got, want in zip(merged, results):
+                _assert_same_bytes(got, want)
+        assert len({res.dsep_upper for res in results}) == 5  # tie-free, so the winner is unique
+        assert best is not results[0]  # and it is not simply the first restart
 
 
 def _spoil_restart(monkeypatch, restart, spoil):
     """Runs ``spoil()`` at the start of that restart; with two processes its share is ``restart % 2``."""
     run = oracle._run_restart
 
-    def spoiled(rho, dims, rng, *rest):
-        if rng.bit_generator.seed_seq.entropy[1] == restart:  # seeded [cfg.seed, restart]
+    def spoiled(rho, cfg, r):
+        if r == restart:
             spoil()
-        return run(rho, dims, rng, *rest)
+        return run(rho, cfg, r)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(oracle, "_run_restart", spoiled)
@@ -367,7 +357,7 @@ def _oracle_to_queue(rho, cfg, out):
 
 
 @forks
-def test_oracle_in_a_process_child_after_a_pooled_call():
+def test_oracle_in_a_process_child_after_a_forked_call():
     # the child forks its own restarts and still exits: it leaves no children to join
     rho = fixture("bell(2)")
     dsep_upper(rho, FORKED)
@@ -386,7 +376,7 @@ def test_oracle_in_a_process_child_after_a_pooled_call():
 
 
 @forks
-def test_oracle_in_a_bare_fork_after_a_pooled_call():
+def test_oracle_in_a_bare_fork_after_a_forked_call():
     # the parent's call left nothing behind that the child's own call could trip over
     rho = fixture("bell(2)")
     dsep_upper(rho, FORKED)
@@ -411,7 +401,7 @@ def test_oracle_in_a_bare_fork_after_a_pooled_call():
     _assert_same_bytes(res, _serial_reference(rho, FORKED)[1])
 
 
-def test_bare_fork_after_a_pooled_call_exits_cleanly():
+def test_bare_fork_after_a_forked_call_exits_cleanly():
     # the parent's call leaves no children that the exit handler of multiprocessing
     # could take for the child's and try to join, printing a traceback
     probe = (
@@ -438,13 +428,13 @@ def test_oracle_under_warnings_as_errors():
     assert _python(probe, "-W", "error") == f"{dsep_upper(fixture('bell(2)'), FORKED).dsep_upper!r}\n"
 
 
-def test_no_pool_from_python_3_12(monkeypatch):
+def test_no_fork_from_python_3_12(monkeypatch):
     # fork warns there in a process with threads, and numpy's OpenBLAS always has some
     monkeypatch.setattr(sys, "version_info", (3, 12, 0))
     assert oracle._fork_workers(3) == 0
 
 
-def test_no_pool_without_openblas(monkeypatch):
+def test_no_fork_without_openblas(monkeypatch):
     # without a thread setter the children's BLAS threads would spin against each other
     monkeypatch.setattr(oracle, "_openblas_function", lambda verb: None)
     assert oracle._fork_workers(3) == 0
@@ -466,12 +456,13 @@ def test_restarts_run_one_blas_thread(monkeypatch):
     set_threads(2)  # a count neither the caller's restarts nor the children may run with
     try:
         monkeypatch.setattr(oracle, "_run_restart", lambda *args: _blas_threads())
-        assert oracle._run_restarts([()] * 8) == [1] * 8  # the patch is forked with the process
+        state, cfg = fixture("bell(2)"), OracleConfig(restarts=8)
+        assert oracle._run_restarts(state, cfg) == [1] * 8  # the patch is forked with the process
         assert _blas_threads() == 2  # the caller's own setting is restored
         # one usable core: the caller runs every restart itself, still on one thread
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert oracle._fork_workers(8) == 0
-        assert oracle._run_restarts([()] * 8) == [1] * 8
+        assert oracle._run_restarts(state, cfg) == [1] * 8
         assert _blas_threads() == 2
     finally:
         set_threads(caller)
@@ -487,6 +478,39 @@ def test_a_call_forks_one_child_per_further_core(monkeypatch):
         forked.clear()
         dsep_upper(fixture("bell(2)"), OracleConfig(restarts=restarts, max_iters=5))
         assert len(forked) == min(cores, restarts) - 1
+
+
+def _restart_files():
+    """Links of this process's open descriptors that name a restart file."""
+    links = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            links.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the descriptor of the listing itself, closed by now
+            pass
+    return [link for link in links if "entcert-restarts" in link]
+
+
+def test_a_failed_fork_closes_its_file(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if oracle._fork_workers(FORKED.restarts) == 0:
+        pytest.skip(UNFORKED)
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    set_threads = oracle._openblas_function("set")
+    caller = _blas_threads()
+    set_threads(2)
+    try:
+        with pytest.raises(BlockingIOError) as failed:
+            dsep_upper(fixture("bell(2)"), FORKED)
+        # the held exception's traceback keeps the frame that opened the file, so only a close ends it
+        assert _restart_files() == []
+        assert _blas_threads() == 2
+    finally:
+        set_threads(caller)
 
 
 def test_concurrent_calls_keep_the_callers_blas_threads(rng):
@@ -549,8 +573,8 @@ def test_restart_children_exit_with_their_parent():
     assert alive == []
 
 
-def test_import_builds_no_pool():
-    # the pool modules take about 20 ms to import (2-core x86); neither import nor a call pays
+def test_import_and_forked_call_load_no_multiprocessing():
+    # multiprocessing and concurrent.futures take about 20 ms to import (2-core x86); neither import nor a call pays
     imported = "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
     probe = f"import sys; from entcert import *\n{imported}\ndsep_upper(fixture('bell(2)'), {FORKED!r})\n{imported}"
     assert _python(probe) == "[]\n[]\n"

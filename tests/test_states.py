@@ -1,10 +1,13 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from entcert import (
     DensityMatrix,
+    DimensionMismatch,
     InvariantViolation,
     PureState,
     SchmidtVector,
@@ -64,6 +67,22 @@ def test_constructors_reject_nonpositive_dims(kind, dims):
             PureState(dims=dims, vec=np.ones(d) / np.sqrt(d))
         else:
             Witness(dims=dims, mat=np.eye(d))
+
+
+def test_copies_and_unpickled_objects_are_checked_again():
+    for obj, name in [(fixture("bell(2)"), "mat"), (bell_state(3), "vec"), (fixture("paper_mub_witness"), "mat")]:
+        want = getattr(obj, name)
+        for copied in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            got = getattr(copied, name)
+            assert type(copied) is type(obj) and copied.dims == obj.dims
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 5
+        obj.dims = (obj.dims[0] + 1, obj.dims[1])  # no longer the array's dims, so a copy fails the check
+        for copy_of in (copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
+            with pytest.raises(DimensionMismatch, match="^dims:"):
+                copy_of(obj)
 
 
 def test_pure_state_norm_invariant():
