@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import as_matrix, as_stack, kron, require, require_hermitian
+from .linalg import as_integer, as_matrix, as_stack, kron, require, require_hermitian
 
 
 @dataclass
@@ -25,6 +25,7 @@ class GeneratorSet:
     gens: np.ndarray  # shape (d**2 - 1, d, d)
 
     def __post_init__(self):
+        self.d = as_integer(self.d, "dimension", 1)
         self.gens = as_stack(self.gens, np.complex128, "generators")
         n = self.d * self.d - 1
         if self.gens.shape != (n, self.d, self.d):
@@ -54,8 +55,7 @@ def gellmann(d: int) -> GeneratorSet:
     d(d-1)/2 symmetric, d(d-1)/2 antisymmetric and d-1 diagonal matrices;
     for d = 2 these are the Pauli matrices.
     """
-    if d < 2:
-        raise InvariantViolation(f"dimension: d must be >= 2, got {d}")
+    d = as_integer(d, "dimension", 2)
     mats = []
     for j in range(d):
         for k in range(j + 1, d):
@@ -85,6 +85,7 @@ def collective(gens: GeneratorSet) -> CollectiveSet:
 
 def swap_operator(d: int) -> np.ndarray:
     """Permutation matrix exchanging the two tensor factors: F |i,j> = |j,i>."""
+    d = as_integer(d, "dimension", 1)
     eye = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d)
     return eye.transpose(1, 0, 2, 3).reshape(d * d, d * d)
 

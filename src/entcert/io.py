@@ -36,7 +36,7 @@ def complex_pairs(arr) -> list:
 
 def payload(obj: DensityMatrix | Witness) -> dict:
     """The file schema of a state or witness as a plain dict; a witness gets its ``kind``."""
-    out: dict = {"dims": [int(obj.dims[0]), int(obj.dims[1])]}
+    out: dict = {"dims": list(obj.dims)}
     if isinstance(obj, Witness):
         out["kind"] = "witness"
     out["matrix"] = complex_pairs(obj.mat)

@@ -2,17 +2,18 @@
 
 Hilbert-Schmidt inner products and norms, Kronecker products, partial
 trace/transpose over a bipartite splitting, Hermitian eigendecomposition
-and SVD, plus the dims and Hermiticity checks and the ``Checked`` base
-shared by the bipartite types, and ``require``, the one tolerance check
-that every constructor invariant goes through.  Matrices are plain
-``numpy`` arrays of ``complex128``; the eigen/SVD work is delegated to
-LAPACK, the contract here is the residual bound, not the algorithm.
+and SVD, plus the one checking path: ``as_integer``, ``as_matrix`` and
+``as_stack`` coerce integers, matrices and matrix stacks, ``require`` is
+the one tolerance check of every invariant, dims and Hermiticity have
+their own checks, and ``Checked`` rebuilds copies of the bipartite types.
+Matrices are ``complex128`` arrays; LAPACK does the eigen/SVD work, and
+the contract here is the residual bound, not the algorithm.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import operator
+import numbers
 
 import numpy as np
 
@@ -39,9 +40,19 @@ class Checked:
         return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
 
+def as_integer(value, what: str, least: int) -> int:
+    """Coerce to an ``int`` no smaller than ``least``; bools and non-integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvariantViolation(f"{what}: must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def as_matrix(entries) -> np.ndarray:
     """Coerce to a finite complex128 2-d array."""
-    mat = np.asarray(entries, dtype=np.complex128)
+    try:
+        mat = np.asarray(entries, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:  # ragged nesting or non-numeric entries
+        raise InvariantViolation("shape: expected a 2-d matrix of numbers") from exc
     if mat.ndim != 2:
         raise InvariantViolation(f"shape: expected a 2-d matrix, got ndim={mat.ndim}")
     if not np.all(np.isfinite(mat)):
@@ -50,7 +61,7 @@ def as_matrix(entries) -> np.ndarray:
 
 
 def as_stack(entries, dtype, what: str) -> np.ndarray:
-    """Coerce to a finite ``(L, d, d)`` stack of square matrices with L >= 1.
+    """Coerce to a finite ``(L, d, d)`` stack of square matrices with L, d >= 1.
 
     A real ``dtype`` refuses entries with a nonzero imaginary part rather
     than drop it.
@@ -67,7 +78,7 @@ def as_stack(entries, dtype, what: str) -> np.ndarray:
         stack = stack.astype(dtype, copy=False)
     except (TypeError, ValueError) as exc:  # non-numeric entries
         raise InvariantViolation(f"type: {what} are not numeric matrices") from exc
-    if stack.ndim != 3 or not stack.shape[0] or stack.shape[1] != stack.shape[2]:
+    if stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != stack.shape[2]:
         raise InvariantViolation(
             f"shape: {what} must be a nonempty stack of square matrices, got {stack.shape}"
         )
@@ -77,16 +88,12 @@ def as_stack(entries, dtype, what: str) -> np.ndarray:
 
 
 def bipartite_dims(dims) -> tuple[int, int]:
-    """Coerce to ``(dA, dB)``, two positive integers; bools are refused."""
+    """Coerce to ``(dA, dB)``, two positive integers."""
     try:
         da, db = dims
-        if not isinstance(da, bool) and not isinstance(db, bool):  # operator.index takes True as 1
-            da, db = operator.index(da), operator.index(db)
-            if da >= 1 and db >= 1:
-                return da, db
     except (TypeError, ValueError):
-        pass
-    raise InvariantViolation(f"dims: expected two positive integers, got {dims!r}")
+        raise InvariantViolation(f"dims: expected two positive integers, got {dims!r}") from None
+    return as_integer(da, "dims", 1), as_integer(db, "dims", 1)
 
 
 def bipartite_operator(dims, entries, what: str) -> tuple[tuple[int, int], np.ndarray]:

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
+from .linalg import as_integer, as_matrix
 from .states import DensityMatrix, PureState, SchmidtVector, schmidt
 
 
@@ -80,7 +81,7 @@ def diagonal_twirl_matrix(mat: np.ndarray, d: int) -> np.ndarray:
     zeroes the rest; linear, trace preserving, Hermiticity preserving and
     idempotent.
     """
-    mat = np.asarray(mat, dtype=np.complex128)
+    d, mat = as_integer(d, "dimension", 1), as_matrix(mat)
     if mat.shape != (d * d, d * d):
         raise DimensionMismatch(f"dims: matrix is {mat.shape}, expected {(d * d, d * d)}")
     i, j, k, l = np.indices((d, d, d, d))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import numbers
 import os
 import pickle
 import signal
@@ -36,7 +35,7 @@ import numpy as np
 from .config import TOLS
 from .errors import InvariantViolation, NumericalError
 from .io import complex_pairs, payload
-from .linalg import hermitian_eig, partial_transpose
+from .linalg import as_integer, hermitian_eig, partial_transpose
 from .states import DensityMatrix
 
 _WEIGHT_FLOOR = 1e-14
@@ -64,19 +63,12 @@ class OracleConfig:
     convergence_tol: float = 1e-7
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvariantViolation(f"{name}: must be an integer, got {value!r}")
-        if self.restarts < 1:
-            raise InvariantViolation(f"restarts: must be positive, got {self.restarts}")
-        if self.max_iters < 1:
-            raise InvariantViolation(f"max_iters: must be positive, got {self.max_iters}")
-        if self.seed < 0:
-            raise InvariantViolation(f"seed: must be nonnegative, got {self.seed}")
-        if not 0 < self.convergence_tol < math.inf:
+        for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, least))
+        tol = np.asarray(self.convergence_tol)
+        if tol.shape or tol.dtype.kind not in "iuf" or not 0 < tol < math.inf:  # one int or float
             raise InvariantViolation(
-                f"convergence_tol: must be positive and finite, got {self.convergence_tol}"
+                f"convergence_tol: must be positive and finite, got {self.convergence_tol!r}"
             )
 
 
@@ -325,6 +317,8 @@ def _fork_share(rho: DensityMatrix, cfg: OracleConfig, restarts: range):
 
 
 _PIN_LOCK = threading.Lock()  # held by the call that has pinned OpenBLAS to one thread
+if hasattr(os, "register_at_fork"):  # a forked child gets it free: a thread holding it is not copied
+    os.register_at_fork(after_in_child=_PIN_LOCK._at_fork_reinit)  # as concurrent.futures does
 
 
 def _run_restarts(rho: DensityMatrix, cfg: OracleConfig) -> list[OracleResult]:

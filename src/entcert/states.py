@@ -1,10 +1,10 @@
 """Bipartite state types and the Schmidt decomposition.
 
 ``DensityMatrix`` and ``PureState`` validate on construction, also when
-copied or unpickled, and hold read-only arrays; ``schmidt`` splits a
-pure state into its coefficients and local bases.  ``bell_state`` and
-``singlet_state`` build the standard maximally entangled states.  File
-I/O and named fixtures live in ``entcert.io``.
+copied or unpickled, are frozen and hold read-only arrays; ``schmidt``
+splits a pure state into its coefficients and local bases.
+``bell_state`` and ``singlet_state`` build the standard maximally
+entangled states.  File I/O and named fixtures live in ``entcert.io``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import numpy as np
 
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import Checked, as_matrix, bipartite_dims, bipartite_operator, require, svd
+from .linalg import Checked, as_integer, as_matrix, bipartite_dims, bipartite_operator, require, svd
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityMatrix(Checked):
     """Bipartite mixed state: Hermitian, unit trace, PSD within tolerance."""
 
@@ -26,13 +26,15 @@ class DensityMatrix(Checked):
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.dims, self.mat = bipartite_operator(self.dims, self.mat, "matrix")
+        dims, mat = bipartite_operator(self.dims, self.mat, "matrix")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "mat", mat)
         require(abs(np.trace(self.mat) - 1.0), TOLS.trace, "trace: |Tr(rho) - 1|")
         lo = np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)[0]
         require(-lo, TOLS.psd, "positivity: minus the minimum eigenvalue")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PureState(Checked):
     """Bipartite pure state vector of length dA*dB, unit norm."""
 
@@ -40,7 +42,7 @@ class PureState(Checked):
     vec: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.dims = bipartite_dims(self.dims)
+        object.__setattr__(self, "dims", bipartite_dims(self.dims))
         vec = as_matrix(np.reshape(self.vec, (1, -1)))[0]
         d = self.dims[0] * self.dims[1]
         if vec.shape != (d,):
@@ -48,8 +50,9 @@ class PureState(Checked):
                 f"dims: vector has length {vec.shape[0]}, dims {self.dims} require {d}"
             )
         require(abs(np.linalg.norm(vec) - 1.0), TOLS.unit_norm, "norm: | ||psi|| - 1 |")
-        self.vec = vec.copy()
-        self.vec.setflags(write=False)
+        vec = vec.copy()
+        vec.setflags(write=False)
+        object.__setattr__(self, "vec", vec)
 
     def projector(self) -> DensityMatrix:
         return DensityMatrix(dims=self.dims, mat=np.outer(self.vec, self.vec.conj()))
@@ -97,8 +100,7 @@ def schmidt(psi: PureState) -> tuple[SchmidtVector, np.ndarray, np.ndarray]:
 
 def bell_state(d: int) -> PureState:
     """Maximally entangled state (1/sqrt(d)) sum_i |ii> on d x d."""
-    if d < 2:
-        raise InvariantViolation(f"dimension: d must be >= 2, got {d}")
+    d = as_integer(d, "dimension", 2)
     vec = np.zeros(d * d, dtype=np.complex128)
     vec[np.arange(d) * d + np.arange(d)] = 1 / np.sqrt(d)
     return PureState(dims=(d, d), vec=vec)

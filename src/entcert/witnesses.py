@@ -14,6 +14,7 @@ generator identities it needs only the marginals, the swap and ``gens.d``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
@@ -22,13 +23,13 @@ import numpy as np
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
 from .generators import GeneratorSet, swap_operator
-from .linalg import Checked, as_stack, bipartite_operator, frobenius_inner, partial_trace, require
+from .linalg import Checked, as_integer, as_stack, bipartite_operator, frobenius_inner, partial_trace, require
 
 if TYPE_CHECKING:
     from .states import DensityMatrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class Witness(Checked):
     """Hermitian observable on a dA x dB bipartite space (need not be PSD)."""
 
@@ -36,7 +37,9 @@ class Witness(Checked):
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.dims, self.mat = bipartite_operator(self.dims, self.mat, "witness matrix")
+        dims, mat = bipartite_operator(self.dims, self.mat, "witness matrix")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "mat", mat)
         if not np.any(self.mat):
             raise InvariantViolation("nonzero: witness matrix is identically zero")
 
@@ -89,8 +92,8 @@ def generic_bound(
     ``b_override`` larger than the true radius yields a valid, weaker
     bound; smaller overrides are rejected.
     """
-    if tuple(rho.dims) != w.dims:
-        raise DimensionMismatch(f"dims: witness {w.dims} vs state {tuple(rho.dims)}")
+    if rho.dims != w.dims:
+        raise DimensionMismatch(f"dims: witness {w.dims} vs state {rho.dims}")
     b_true = normalize_witness(w).b
     if b_override is None:
         b_used = b_true
@@ -116,19 +119,6 @@ def generic_bound(
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 @dataclass
 class MubFamily:
     """L mutually unbiased orthonormal bases of C^d (columns of each array)."""
@@ -137,6 +127,7 @@ class MubFamily:
     bases: list[np.ndarray]
 
     def __post_init__(self):
+        self.d = as_integer(self.d, "dimension", 1)
         stack = as_stack(self.bases, np.complex128, "bases")
         d, count = self.d, len(stack)
         if stack.shape[1:] != (d, d):
@@ -159,9 +150,11 @@ def mub_family(d: int, count: int) -> MubFamily:
     d = 2 the x and y eigenbases are used (the quadratic construction
     degenerates there).
     """
-    if not _is_prime(d):
+    d = as_integer(d, "dimension", 2)
+    if any(d % f == 0 for f in range(2, math.isqrt(d) + 1)):
         raise InvariantViolation(f"primality: d must be prime, got {d}")
-    if not 2 <= count <= d + 1:
+    count = as_integer(count, "count", 2)
+    if count > d + 1:
         raise InvariantViolation(f"count: need 2 <= L <= d+1 = {d + 1}, got {count}")
     bases = [np.eye(d, dtype=np.complex128)]
     if d == 2:
@@ -195,6 +188,7 @@ class RotationSet:
 
     @classmethod
     def identity(cls, d: int, count: int) -> "RotationSet":
+        d, count = as_integer(d, "dimension", 1), as_integer(count, "count", 1)
         return cls([np.eye(d) for _ in range(count)])
 
 
@@ -225,7 +219,7 @@ def mub_bound(w: Witness, count: int, rho: "DensityMatrix") -> BoundCertificate:
     """Distance bound using the closed-form radius sqrt(L (d - 1))."""
     if w.dims[0] != w.dims[1]:
         raise DimensionMismatch(f"dims: expected equal local dimensions, got {w.dims}")
-    d = w.dims[0]
+    d, count = w.dims[0], as_integer(count, "count", 1)
     return generic_bound(w, rho, b_override=float(np.sqrt(count * (d - 1))))
 
 
@@ -236,6 +230,7 @@ def mub_bound(w: Witness, count: int, rho: "DensityMatrix") -> BoundCertificate:
 
 def spin_radius_bound(d: int) -> float:
     """Upper bound on the Frobenius radius of the variance witness."""
+    d = as_integer(d, "dimension", 1)
     return float(np.sqrt(144 * d * d - 224 * d + 112))
 
 

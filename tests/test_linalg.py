@@ -1,20 +1,33 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from entcert import (
+    DensityMatrix,
     DimensionMismatch,
+    GeneratorSet,
     InvariantViolation,
+    MubFamily,
+    OracleConfig,
+    RotationSet,
+    bell_state,
+    diagonal_twirl_matrix,
     fixture,
     frobenius_inner,
     frobenius_norm,
     gellmann,
     hermitian_eig,
     kron,
+    mub_bound,
+    mub_family,
     partial_trace,
     partial_transpose,
+    spin_radius_bound,
     svd,
 )
 from entcert.generators import swap_operator
+from entcert.linalg import bipartite_dims
 
 from conftest import haar_unitary, random_hermitian
 
@@ -224,3 +237,60 @@ def test_norm_unitary_invariance(rng):
         u = haar_unitary(rng, 5)
         v = haar_unitary(rng, 5)
         assert abs(frobenius_norm(u @ a @ v) - frobenius_norm(a)) < 1e-10
+
+
+PAPER_WITNESS, PAPER_STATE = fixture("paper_mub_witness"), fixture("paper_ppt_state")
+# every public integer argument: its invariant name, its floor, a valid value and a call that passes it
+INTEGER_ARGUMENTS = {
+    "OracleConfig.restarts": ("restarts", 1, 2, lambda v: OracleConfig(restarts=v)),
+    "OracleConfig.max_iters": ("max_iters", 1, 2, lambda v: OracleConfig(max_iters=v)),
+    "OracleConfig.seed": ("seed", 0, 2, lambda v: OracleConfig(seed=v)),
+    "bipartite_dims": ("dims", 1, 3, lambda v: bipartite_dims((2, v))),
+    "DensityMatrix.dims": ("dims", 1, 2, lambda v: DensityMatrix(dims=(v, 2), mat=np.eye(4) / 4)),
+    "gellmann": ("dimension", 2, 3, gellmann),
+    "bell_state": ("dimension", 2, 3, bell_state),
+    "mub_family.d": ("dimension", 2, 3, lambda v: mub_family(v, 2)),
+    "mub_family.count": ("count", 2, 3, lambda v: mub_family(3, v)),
+    "swap_operator": ("dimension", 1, 3, swap_operator),
+    "RotationSet.identity.d": ("dimension", 1, 3, lambda v: RotationSet.identity(v, 2)),
+    "RotationSet.identity.count": ("count", 1, 3, lambda v: RotationSet.identity(3, v)),
+    "GeneratorSet.d": ("dimension", 1, 2, lambda v: GeneratorSet(d=v, gens=[SX, SY, SZ])),
+    "MubFamily.d": ("dimension", 1, 2, lambda v: MubFamily(d=v, bases=mub_family(2, 3).bases)),
+    "diagonal_twirl_matrix": ("dimension", 1, 3, lambda v: diagonal_twirl_matrix(np.eye(9), v)),
+    "mub_bound.count": ("count", 1, 4, lambda v: mub_bound(PAPER_WITNESS, v, PAPER_STATE)),
+    "spin_radius_bound": ("dimension", 1, 3, spin_radius_bound),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None, "below"])
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+def test_integer_arguments_are_refused_by_name(entry, bad):
+    name, least, _, call = INTEGER_ARGUMENTS[entry]
+    value = least - 1 if bad == "below" else bad
+    with pytest.raises(InvariantViolation, match=f"^{name}: "):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+def test_integer_arguments_take_numpy_integers(entry):
+    # the result is the one for a Python int, down to the type of every stored integer
+    _, _, valid, call = INTEGER_ARGUMENTS[entry]
+    assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))
+
+
+def test_matrix_arguments_are_refused_by_invariant():
+    nan = np.eye(4)
+    nan[1, 2] = np.nan
+    with pytest.raises(InvariantViolation, match="^finiteness:"):
+        diagonal_twirl_matrix(nan, 2)
+    for ragged in ([[1.0, 0.0], [0.0]], [[1.0, "x"], [0.0, 1.0]]):
+        with pytest.raises(InvariantViolation, match="^shape:"):
+            diagonal_twirl_matrix(ragged, 1)
+        with pytest.raises(InvariantViolation, match="^shape:"):
+            frobenius_norm(ragged)
+    with pytest.raises(InvariantViolation, match="^shape:"):
+        RotationSet([np.zeros((0, 0))])
+    with pytest.raises(InvariantViolation, match="^shape:"):
+        MubFamily(d=1, bases=[np.zeros((0, 0))])
+    with pytest.raises(InvariantViolation):
+        MubFamily(d=0, bases=[np.zeros((0, 0))])

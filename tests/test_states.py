@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import pickle
 
@@ -79,10 +80,21 @@ def test_copies_and_unpickled_objects_are_checked_again():
             assert not got.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 got[0] = 5
-        obj.dims = (obj.dims[0] + 1, obj.dims[1])  # no longer the array's dims, so a copy fails the check
+        object.__setattr__(obj, "dims", (obj.dims[0] + 1, obj.dims[1]))  # no longer the array's dims, so a copy fails
         for copy_of in (copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
             with pytest.raises(DimensionMismatch, match="^dims:"):
                 copy_of(obj)
+
+
+def test_checked_types_are_frozen():
+    rho = fixture("bell(2)")
+    for obj, name in [(rho, "mat"), (bell_state(3), "vec"), (fixture("paper_mub_witness"), "mat")]:
+        for field in ("dims", name):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, getattr(obj, field))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.dims = (2, 3)  # dims the 4x4 matrix does not have
+    assert rho.dims == (2, 2)
 
 
 def test_pure_state_norm_invariant():
