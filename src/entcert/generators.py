@@ -14,31 +14,31 @@ import numpy as np
 
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import as_integer, as_matrix, as_stack, kron, require, require_hermitian
+from .linalg import Checked, as_array, as_integer, kron, read_only, require, require_hermitian
 
 
-@dataclass
-class GeneratorSet:
+@dataclass(frozen=True)
+class GeneratorSet(Checked):
     """d**2 - 1 Hermitian traceless generators with Tr(g_k g_l) = 2 delta_kl."""
 
     d: int
     gens: np.ndarray  # shape (d**2 - 1, d, d)
 
     def __post_init__(self):
-        self.d = as_integer(self.d, "dimension", 1)
-        self.gens = as_stack(self.gens, np.complex128, "generators")
-        n = self.d * self.d - 1
-        if self.gens.shape != (n, self.d, self.d):
-            raise InvariantViolation(
-                f"shape: expected {n} generators of size {self.d}x{self.d}, got {self.gens.shape}"
-            )
-        require_hermitian(self.gens, "generator set")
-        defect = np.abs(np.trace(self.gens, axis1=1, axis2=2)).max()
+        d = as_integer(self.d, "dimension", 1)
+        gens = as_array(self.gens, 3, "generators")
+        n = d * d - 1
+        if gens.shape != (n, d, d):
+            raise InvariantViolation(f"shape: expected {n} generators of size {d}x{d}, got {gens.shape}")
+        require_hermitian(gens, "generator set")
+        defect = np.abs(np.trace(gens, axis1=1, axis2=2)).max()
         require(defect, 1e-12, "tracelessness: max |Tr g_k|")
-        flat = self.gens.reshape(n, -1)
+        flat = gens.reshape(n, -1)
         gram = flat.conj() @ flat.T  # Tr(g_k^dag g_l) = Tr(g_k g_l) for Hermitian g_k
         defect = np.abs(gram - 2 * np.eye(n)).max()
         require(defect, TOLS.unit_norm, "orthogonality: max |Tr(g_k g_l) - 2 delta_kl|")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "gens", read_only(gens))
 
 
 @dataclass
@@ -112,7 +112,7 @@ def verify_generator_identities(gens: GeneratorSet, rho) -> IdentityReport:
     genuine two-sided test.
     """
     d = gens.d
-    rho = as_matrix(rho)
+    rho = as_array(rho, 2, "state")
     if rho.shape != (d, d):
         raise DimensionMismatch(f"dims: state is {rho.shape}, generators act on ({d}, {d})")
     n = d * d - 1

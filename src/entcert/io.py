@@ -28,9 +28,8 @@ from .states import DensityMatrix, bell_state, singlet_state
 from .witnesses import Witness
 
 
-def complex_pairs(arr) -> list:
+def complex_pairs(arr: np.ndarray) -> list:
     """``[re, im]`` pairs of the entries of a complex array, nested as the array is."""
-    arr = np.asarray(arr, dtype=np.complex128)
     return np.stack([arr.real, arr.imag], -1).tolist()
 
 

@@ -2,10 +2,11 @@
 
 Hilbert-Schmidt inner products and norms, Kronecker products, partial
 trace/transpose over a bipartite splitting, Hermitian eigendecomposition
-and SVD, plus the one checking path: ``as_integer``, ``as_matrix`` and
-``as_stack`` coerce integers, matrices and matrix stacks, ``require`` is
-the one tolerance check of every invariant, dims and Hermiticity have
-their own checks, and ``Checked`` rebuilds copies of the bipartite types.
+and SVD, plus the one checking path: ``as_integer``, ``as_real`` and
+``as_array`` coerce integers, real scalars and arrays of every rank,
+``require`` is the one tolerance check of every invariant, dims and
+Hermiticity have their own checks, and ``Checked`` rebuilds copies and
+unpickled objects of the frozen types through their constructors.
 Matrices are ``complex128`` arrays; LAPACK does the eigen/SVD work, and
 the contract here is the residual bound, not the algorithm.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import sys
 
 import numpy as np
 
@@ -47,44 +49,43 @@ def as_integer(value, what: str, least: int) -> int:
     return int(value)
 
 
-def as_matrix(entries) -> np.ndarray:
-    """Coerce to a finite complex128 2-d array."""
-    try:
-        mat = np.asarray(entries, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:  # ragged nesting or non-numeric entries
-        raise InvariantViolation("shape: expected a 2-d matrix of numbers") from exc
-    if mat.ndim != 2:
-        raise InvariantViolation(f"shape: expected a 2-d matrix, got ndim={mat.ndim}")
-    if not np.all(np.isfinite(mat)):
-        raise InvariantViolation("finiteness: matrix contains NaN or Inf entries")
-    return mat
+def as_real(value, what: str) -> float:
+    """Coerce to a finite ``float``; bools, strings, arrays and NaN/Inf are refused."""
+    # the comparison fails for NaN, the infinities and integers beyond the float range
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise InvariantViolation(f"{what}: must be a finite real number, got {value!r}")
+    return float(value)
 
 
-def as_stack(entries, dtype, what: str) -> np.ndarray:
-    """Coerce to a finite ``(L, d, d)`` stack of square matrices with L, d >= 1.
+def as_array(entries, ndim: int, what: str, dtype=np.complex128) -> np.ndarray:
+    """Coerce to a finite, nonempty ``ndim``-d array of ``dtype``.
 
     A real ``dtype`` refuses entries with a nonzero imaginary part rather
-    than drop it.
+    than drop it; arrays of bools, strings or other non-numbers are refused.
     """
     try:
-        stack = np.asarray(entries)
+        arr = np.asarray(entries)
     except ValueError as exc:  # ragged or mixed-size nesting
-        raise InvariantViolation(f"shape: {what} are not equal-size square matrices") from exc
-    if np.iscomplexobj(stack) and not np.issubdtype(dtype, np.complexfloating):
-        if np.any(stack.imag):
-            raise InvariantViolation(f"realness: {what} have entries with a nonzero imaginary part")
-        stack = stack.real
-    try:
-        stack = stack.astype(dtype, copy=False)
-    except (TypeError, ValueError) as exc:  # non-numeric entries
-        raise InvariantViolation(f"type: {what} are not numeric matrices") from exc
-    if stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != stack.shape[2]:
-        raise InvariantViolation(
-            f"shape: {what} must be a nonempty stack of square matrices, got {stack.shape}"
-        )
-    if not np.all(np.isfinite(stack)):
-        raise InvariantViolation(f"finiteness: {what} contain NaN or Inf entries")
-    return stack
+        raise InvariantViolation(f"shape: ragged nesting in {what}") from exc
+    if arr.dtype.kind not in "iufc":
+        raise InvariantViolation(f"type: non-numeric entries ({arr.dtype}) in {what}")
+    if arr.ndim != ndim or arr.size == 0:
+        raise InvariantViolation(f"shape: {what} must be a nonempty {ndim}-d array, got {arr.shape}")
+    if arr.dtype.kind == "c" and not np.issubdtype(dtype, np.complexfloating):
+        if np.any(arr.imag):
+            raise InvariantViolation(f"realness: entries with a nonzero imaginary part in {what}")
+        arr = arr.real
+    arr = arr.astype(dtype, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise InvariantViolation(f"finiteness: NaN or Inf entries in {what}")
+    return arr
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy, safe to share across concurrent readers."""
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 def bipartite_dims(dims) -> tuple[int, int]:
@@ -99,14 +100,12 @@ def bipartite_dims(dims) -> tuple[int, int]:
 def bipartite_operator(dims, entries, what: str) -> tuple[tuple[int, int], np.ndarray]:
     """Checked dims and a read-only Hermitian copy of the dA*dB matrix named ``what``."""
     dims = bipartite_dims(dims)
-    mat = as_matrix(entries)
+    mat = as_array(entries, 2, what)
     d = dims[0] * dims[1]
     if mat.shape != (d, d):
         raise DimensionMismatch(f"dims: {what} is {mat.shape}, dims {dims} require {(d, d)}")
     require_hermitian(mat, what)
-    mat = mat.copy()
-    mat.setflags(write=False)  # safe to share across concurrent readers
-    return dims, mat
+    return dims, read_only(mat)
 
 
 def _require_square(mat: np.ndarray, what: str = "matrix") -> None:
@@ -116,8 +115,8 @@ def _require_square(mat: np.ndarray, what: str = "matrix") -> None:
 
 def frobenius_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product Tr(A^dag B)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a = as_array(a, 2, "matrix")
+    b = as_array(b, 2, "matrix")
     _require_square(a)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape: operands differ, {a.shape} vs {b.shape}")
@@ -126,14 +125,14 @@ def frobenius_inner(a, b) -> complex:
 
 def frobenius_norm(a) -> float:
     """sqrt(Tr(A^dag A)); zero iff A = 0."""
-    a = as_matrix(a)
+    a = as_array(a, 2, "matrix")
     _require_square(a)
     return float(np.linalg.norm(a))
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product A (x) B."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    return np.kron(as_array(a, 2, "matrix"), as_array(b, 2, "matrix"))
 
 
 def _bipartite_tensor(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -147,7 +146,7 @@ def _bipartite_tensor(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
 def partial_trace(rho, dims: tuple[int, int], keep: str) -> np.ndarray:
     """Trace out one subsystem of a (dA*dB)x(dA*dB) matrix, keeping ``"A"`` or ``"B"``."""
-    t = _bipartite_tensor(as_matrix(rho), dims)
+    t = _bipartite_tensor(as_array(rho, 2, "matrix"), dims)
     if keep == "A":
         return np.einsum("ijkj->ik", t)
     if keep == "B":
@@ -157,7 +156,7 @@ def partial_trace(rho, dims: tuple[int, int], keep: str) -> np.ndarray:
 
 def partial_transpose(rho, dims: tuple[int, int], on: str) -> np.ndarray:
     """Transpose the indices of one subsystem; involutive, trace preserving."""
-    t = _bipartite_tensor(as_matrix(rho), dims)
+    t = _bipartite_tensor(as_array(rho, 2, "matrix"), dims)
     if on == "A":
         t = t.transpose(2, 1, 0, 3)
     elif on == "B":
@@ -176,7 +175,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     The input is symmetrized before factorization; inputs further than
     ``TOLS.hermiticity`` from Hermitian are rejected.
     """
-    a = as_matrix(a)
+    a = as_array(a, 2, "matrix")
     _require_square(a)
     require_hermitian(a, "matrix")
     try:
@@ -188,7 +187,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition ``m = u @ diag(s) @ v^dag``, s descending."""
-    m = as_matrix(m)
+    m = as_array(m, 2, "matrix")
     try:
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:

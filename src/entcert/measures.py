@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import as_integer, as_matrix
+from .linalg import as_array, as_integer, as_real
 from .states import DensityMatrix, PureState, SchmidtVector, schmidt
 
 
@@ -81,7 +81,7 @@ def diagonal_twirl_matrix(mat: np.ndarray, d: int) -> np.ndarray:
     zeroes the rest; linear, trace preserving, Hermiticity preserving and
     idempotent.
     """
-    d, mat = as_integer(d, "dimension", 1), as_matrix(mat)
+    d, mat = as_integer(d, "dimension", 1), as_array(mat, 2, "matrix")
     if mat.shape != (d * d, d * d):
         raise DimensionMismatch(f"dims: matrix is {mat.shape}, expected {(d * d, d * d)}")
     i, j, k, l = np.indices((d, d, d, d))
@@ -123,13 +123,14 @@ def bounds_from_dsep(dsep_lower: float) -> MeasureBounds:
     maximally entangled states), so treat ``geometric_lower`` as a
     heuristic.  Requires 0 <= dsep < 1.
     """
+    dsep_lower = as_real(dsep_lower, "range")
     if not 0.0 <= dsep_lower < 1.0:
         raise InvariantViolation(
             f"range: distance bound must lie in [0, 1), got {dsep_lower:.6g}"
         )
     d_sq = dsep_lower * dsep_lower
     return MeasureBounds(
-        dsep_lower=float(dsep_lower),
+        dsep_lower=dsep_lower,
         concurrence_lower=math.sqrt(2.0) * dsep_lower,
         eof_lower=-math.log1p(-d_sq) / math.log(2.0),
         geometric_lower=d_sq,

@@ -20,7 +20,6 @@ and forks a child for each further usable core; elsewhere it runs them all.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 import pickle
 import signal
@@ -35,7 +34,7 @@ import numpy as np
 from .config import TOLS
 from .errors import InvariantViolation, NumericalError
 from .io import complex_pairs, payload
-from .linalg import as_integer, hermitian_eig, partial_transpose
+from .linalg import as_integer, as_real, hermitian_eig, partial_transpose
 from .states import DensityMatrix
 
 _WEIGHT_FLOOR = 1e-14
@@ -65,11 +64,10 @@ class OracleConfig:
     def __post_init__(self):
         for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             object.__setattr__(self, name, as_integer(getattr(self, name), name, least))
-        tol = np.asarray(self.convergence_tol)
-        if tol.shape or tol.dtype.kind not in "iuf" or not 0 < tol < math.inf:  # one int or float
-            raise InvariantViolation(
-                f"convergence_tol: must be positive and finite, got {self.convergence_tol!r}"
-            )
+        tol = as_real(self.convergence_tol, "convergence_tol")
+        if tol <= 0:
+            raise InvariantViolation(f"convergence_tol: must be positive, got {tol!r}")
+        object.__setattr__(self, "convergence_tol", tol)
 
 
 @dataclass

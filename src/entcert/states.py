@@ -1,8 +1,9 @@
 """Bipartite state types and the Schmidt decomposition.
 
-``DensityMatrix`` and ``PureState`` validate on construction, also when
-copied or unpickled, are frozen and hold read-only arrays; ``schmidt``
-splits a pure state into its coefficients and local bases.
+``DensityMatrix``, ``PureState`` and ``SchmidtVector`` validate on
+construction, also when copied or unpickled, are frozen and hold
+read-only arrays; ``schmidt`` splits a pure state into its coefficients
+and local bases.
 ``bell_state`` and ``singlet_state`` build the standard maximally
 entangled states.  File I/O and named fixtures live in ``entcert.io``.
 """
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOLS
-from .errors import DimensionMismatch, InvariantViolation
-from .linalg import Checked, as_integer, as_matrix, bipartite_dims, bipartite_operator, require, svd
+from .errors import DimensionMismatch
+from .linalg import Checked, as_array, as_integer, bipartite_dims, bipartite_operator, read_only, require, svd
 
 
 @dataclass(frozen=True)
@@ -43,36 +44,31 @@ class PureState(Checked):
 
     def __post_init__(self):
         object.__setattr__(self, "dims", bipartite_dims(self.dims))
-        vec = as_matrix(np.reshape(self.vec, (1, -1)))[0]
+        vec = as_array(self.vec, 1, "vector")
         d = self.dims[0] * self.dims[1]
         if vec.shape != (d,):
             raise DimensionMismatch(
                 f"dims: vector has length {vec.shape[0]}, dims {self.dims} require {d}"
             )
         require(abs(np.linalg.norm(vec) - 1.0), TOLS.unit_norm, "norm: | ||psi|| - 1 |")
-        vec = vec.copy()
-        vec.setflags(write=False)
-        object.__setattr__(self, "vec", vec)
+        object.__setattr__(self, "vec", read_only(vec))
 
     def projector(self) -> DensityMatrix:
         return DensityMatrix(dims=self.dims, mat=np.outer(self.vec, self.vec.conj()))
 
 
-@dataclass
-class SchmidtVector:
+@dataclass(frozen=True)
+class SchmidtVector(Checked):
     """Schmidt coefficients (squared singular values), descending, summing to 1."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float).reshape(-1)
-        if c.size == 0:
-            raise InvariantViolation("shape: empty coefficient vector")
-        # positivity first, so the sum and differences below meet no -inf or NaN
+        c = as_array(self.coeffs, 1, "coefficients", float)
         require(-c.min(), 1e-15, "positivity: minus the smallest coefficient")
         require(abs(c.sum() - 1.0), TOLS.unit_norm, "normalization: |sum of coefficients - 1|")
         require(np.max(np.diff(c), initial=0.0), 1e-12, "order: largest rise between coefficients")
-        self.coeffs = np.maximum(c, 0.0)
+        object.__setattr__(self, "coeffs", read_only(np.maximum(c, 0.0)))
 
     @property
     def largest(self) -> float:

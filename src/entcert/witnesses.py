@@ -23,7 +23,9 @@ import numpy as np
 from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
 from .generators import GeneratorSet, swap_operator
-from .linalg import Checked, as_integer, as_stack, bipartite_operator, frobenius_inner, partial_trace, require
+from .linalg import (
+    Checked, as_array, as_integer, as_real, bipartite_operator, frobenius_inner, partial_trace, read_only, require
+)
 
 if TYPE_CHECKING:
     from .states import DensityMatrix
@@ -98,9 +100,7 @@ def generic_bound(
     if b_override is None:
         b_used = b_true
     else:
-        b_used = float(b_override)
-        if not np.isfinite(b_used):
-            raise InvariantViolation(f"radius: override must be finite, got {b_used}")
+        b_used = as_real(b_override, "radius")
         what = f"radius: shortfall of the override {b_used:.6g} below the radius {b_true:.6g}"
         require(b_true - b_used, 1e-12 * b_true, what)
     value = frobenius_inner(w.mat, rho.mat)
@@ -119,17 +119,17 @@ def generic_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MubFamily:
+@dataclass(frozen=True)
+class MubFamily(Checked):
     """L mutually unbiased orthonormal bases of C^d (columns of each array)."""
 
     d: int
-    bases: list[np.ndarray]
+    bases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        self.d = as_integer(self.d, "dimension", 1)
-        stack = as_stack(self.bases, np.complex128, "bases")
-        d, count = self.d, len(stack)
+        d = as_integer(self.d, "dimension", 1)
+        stack = as_array(self.bases, 3, "bases")
+        count = len(stack)
         if stack.shape[1:] != (d, d):
             raise InvariantViolation(f"shape: bases are {stack.shape[1:]}, expected {(d, d)}")
         # entry (a, k, b, l) of the joint Gram matrix is <a_k|b_l>
@@ -140,7 +140,8 @@ class MubFamily:
         require(defect, TOLS.unit_norm, "orthonormality: max |B_a^dag B_a - I|")
         defect = np.max(np.abs(np.abs(gram[~same]) - 1 / np.sqrt(d)), initial=0.0)
         require(defect, 1e-9, "unbiasedness: max ||<a_k|b_l>| - 1/sqrt(d)| over a != b")
-        self.bases = list(stack)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "bases", tuple(read_only(stack)))
 
 
 def mub_family(d: int, count: int) -> MubFamily:
@@ -170,21 +171,23 @@ def mub_family(d: int, count: int) -> MubFamily:
     return MubFamily(d=d, bases=bases[:count])
 
 
-@dataclass
-class RotationSet:
+@dataclass(frozen=True)
+class RotationSet(Checked):
     """Real orthogonal matrices fixing the uniform axis (1,...,1)/sqrt(d)."""
 
-    mats: list[np.ndarray]
+    mats: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        stack = as_stack(self.mats, float, "rotations")
+        stack = as_array(self.mats, 3, "rotations", float)
         d = stack.shape[1]
+        if stack.shape[2] != d:
+            raise InvariantViolation(f"shape: rotations must be square, got {stack.shape[1:]}")
         defect = np.abs(stack.swapaxes(1, 2) @ stack - np.eye(d)).max()
         require(defect, TOLS.unit_norm, "orthogonality: max |O^T O - I|")
         axis = np.full(d, 1 / np.sqrt(d))
         defect = np.abs(stack @ axis - axis).max()
         require(defect, TOLS.unit_norm, "axis: max |O u - u| for the uniform axis u")
-        self.mats = list(stack)
+        object.__setattr__(self, "mats", tuple(read_only(stack)))
 
     @classmethod
     def identity(cls, d: int, count: int) -> "RotationSet":

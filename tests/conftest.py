@@ -5,10 +5,15 @@ import pytest
 
 
 @pytest.fixture(autouse=True)
-def runtime_warnings_are_errors():
-    """A numpy invalid-value, divide-by-zero or overflow warning fails the test."""
+def warnings_are_errors():
+    """A numpy invalid-value, divide-by-zero or overflow warning fails the test, and so does a deprecation.
+
+    ``linalg.as_array`` relies on how numpy converts ragged and string input, so a
+    deprecation of that conversion must show up here before it becomes a change.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error", DeprecationWarning)
         yield
 
 

@@ -10,13 +10,18 @@ from entcert import (
     InvariantViolation,
     MubFamily,
     OracleConfig,
+    PureState,
     RotationSet,
+    SchmidtVector,
+    Witness,
     bell_state,
+    bounds_from_dsep,
     diagonal_twirl_matrix,
     fixture,
     frobenius_inner,
     frobenius_norm,
     gellmann,
+    generic_bound,
     hermitian_eig,
     kron,
     mub_bound,
@@ -25,6 +30,7 @@ from entcert import (
     partial_transpose,
     spin_radius_bound,
     svd,
+    verify_generator_identities,
 )
 from entcert.generators import swap_operator
 from entcert.linalg import bipartite_dims
@@ -278,19 +284,91 @@ def test_integer_arguments_take_numpy_integers(entry):
     assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))
 
 
-def test_matrix_arguments_are_refused_by_invariant():
-    nan = np.eye(4)
-    nan[1, 2] = np.nan
-    with pytest.raises(InvariantViolation, match="^finiteness:"):
-        diagonal_twirl_matrix(nan, 2)
-    for ragged in ([[1.0, 0.0], [0.0]], [[1.0, "x"], [0.0, 1.0]]):
-        with pytest.raises(InvariantViolation, match="^shape:"):
-            diagonal_twirl_matrix(ragged, 1)
-        with pytest.raises(InvariantViolation, match="^shape:"):
-            frobenius_norm(ragged)
-    with pytest.raises(InvariantViolation, match="^shape:"):
-        RotationSet([np.zeros((0, 0))])
-    with pytest.raises(InvariantViolation, match="^shape:"):
-        MubFamily(d=1, bases=[np.zeros((0, 0))])
-    with pytest.raises(InvariantViolation):
-        MubFamily(d=0, bases=[np.zeros((0, 0))])
+# every public array argument: a valid value and a call that passes it
+ARRAY_ARGUMENTS = {
+    "DensityMatrix.mat": (np.eye(4) / 4, lambda v: DensityMatrix(dims=(2, 2), mat=v)),
+    "Witness.mat": (np.diag([1.0, -1.0]), lambda v: Witness(dims=(1, 2), mat=v)),
+    "PureState.vec": (bell_state(3).vec, lambda v: PureState(dims=(3, 3), vec=v)),
+    "SchmidtVector.coeffs": (np.array([0.7, 0.3]), lambda v: SchmidtVector(coeffs=v)),
+    "GeneratorSet.gens": (np.array([SX, SY, SZ]), lambda v: GeneratorSet(d=2, gens=v)),
+    "MubFamily.bases": (np.array(mub_family(3, 2).bases), lambda v: MubFamily(d=3, bases=v)),
+    "RotationSet.mats": (np.eye(3)[None], RotationSet),
+    "frobenius_inner.a": (SX, lambda v: frobenius_inner(v, SY)),
+    "frobenius_inner.b": (SX, lambda v: frobenius_inner(SY, v)),
+    "frobenius_norm": (SX, frobenius_norm),
+    "kron.a": (SX, lambda v: kron(v, SY)),
+    "kron.b": (SX, lambda v: kron(SY, v)),
+    "partial_trace": (BELL2, lambda v: partial_trace(v, (2, 2), "A")),
+    "partial_transpose": (BELL2, lambda v: partial_transpose(v, (2, 2), "B")),
+    "hermitian_eig": (SX, hermitian_eig),
+    "svd": (SX, svd),
+    "diagonal_twirl_matrix": (BELL2, lambda v: diagonal_twirl_matrix(v, 2)),
+    "verify_generator_identities": (np.eye(2) / 2, lambda v: verify_generator_identities(gellmann(2), v)),
+}
+
+
+def _with_last_entry(array, entry):
+    """``array`` as nested lists, its last entry replaced by ``entry``."""
+    nested = array.tolist()
+    inner = nested
+    while isinstance(inner[-1], list):
+        inner = inner[-1]
+    inner[-1] = entry(inner[-1])
+    return nested
+
+
+# each stands in for the valid value, with the invariant that refuses it
+ARRAY_CASES = {
+    "ragged": ("shape", lambda v: _with_last_entry(v, lambda x: [x])),
+    "non-numeric": ("type", lambda v: _with_last_entry(v, lambda x: "x")),
+    "nan": ("finiteness", lambda v: _with_last_entry(v, lambda x: np.nan)),
+    "empty": ("shape", lambda v: np.zeros((0,) * v.ndim)),
+}
+
+
+@pytest.mark.parametrize("bad", ARRAY_CASES)
+@pytest.mark.parametrize("entry", ARRAY_ARGUMENTS)
+def test_array_arguments_are_refused_by_invariant(entry, bad):
+    valid, call = ARRAY_ARGUMENTS[entry]
+    call(valid)
+    invariant, make = ARRAY_CASES[bad]
+    with pytest.raises(InvariantViolation, match=f"^{invariant}: "):
+        call(make(valid))
+
+
+# every public real argument: its invariant name, a valid value and a call that passes it
+REAL_ARGUMENTS = {
+    "OracleConfig.convergence_tol": ("convergence_tol", 1e-8, lambda v: OracleConfig(convergence_tol=v)),
+    "generic_bound.b_override": ("radius", 10.0, lambda v: generic_bound(PAPER_WITNESS, PAPER_STATE, b_override=v)),
+    "bounds_from_dsep": ("range", 0.5, bounds_from_dsep),
+}
+
+# each stands in for the valid value; None is refused everywhere but as b_override, where it selects the radius
+REAL_CASES = {
+    "str": str,
+    "bool": lambda v: True,
+    "None": lambda v: None,
+    "list": lambda v: [v],
+    "0-d array": np.array,
+    "nan": lambda v: np.nan,
+    "inf": lambda v: np.inf,
+}
+
+
+@pytest.mark.parametrize("bad", REAL_CASES)
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_real_arguments_are_refused_by_name(entry, bad):
+    name, valid, call = REAL_ARGUMENTS[entry]
+    value = REAL_CASES[bad](valid)
+    if value is None and entry == "generic_bound.b_override":
+        assert call(None).b_used < valid
+        return
+    with pytest.raises(InvariantViolation, match=f"^{name}: "):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_real_arguments_take_numpy_floats(entry):
+    # the result is the one for a Python float, down to the type of every stored number
+    _, valid, call = REAL_ARGUMENTS[entry]
+    assert pickle.dumps(call(np.float64(valid))) == pickle.dumps(call(valid))

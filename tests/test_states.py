@@ -11,13 +11,16 @@ from entcert import (
     DimensionMismatch,
     InvariantViolation,
     PureState,
+    RotationSet,
     SchmidtVector,
     Witness,
     bell_state,
     fixture,
     frobenius_inner,
+    gellmann,
     load_state,
     load_witness,
+    mub_family,
     partial_transpose,
     save_state,
     save_witness,
@@ -70,31 +73,55 @@ def test_constructors_reject_nonpositive_dims(kind, dims):
             Witness(dims=dims, mat=np.eye(d))
 
 
+def checked_objects():
+    """One object of each frozen type, its array field, and a field value that fails the type's checks."""
+    return [
+        (fixture("bell(2)"), "mat", "dims", (3, 2), "^dims:"),
+        (bell_state(3), "vec", "dims", (4, 3), "^dims:"),
+        (fixture("paper_mub_witness"), "mat", "dims", (4, 3), "^dims:"),
+        (SchmidtVector(coeffs=[0.7, 0.3]), "coeffs", "coeffs", np.array([0.3, 0.7]), "^order:"),
+        (gellmann(2), "gens", "d", 5, "^shape:"),
+        (mub_family(3, 2), "bases", "d", 2, "^shape:"),
+        (RotationSet.identity(3, 2), "mats", "mats", (np.diag([1.0, -1.0, 1.0]),), "^axis:"),
+    ]
+
+
 def test_copies_and_unpickled_objects_are_checked_again():
-    for obj, name in [(fixture("bell(2)"), "mat"), (bell_state(3), "vec"), (fixture("paper_mub_witness"), "mat")]:
-        want = getattr(obj, name)
-        for copied in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+    for obj, name, bad_field, bad_value, error in checked_objects():
+        want = np.asarray(getattr(obj, name))
+        for copied in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             got = getattr(copied, name)
-            assert type(copied) is type(obj) and copied.dims == obj.dims
-            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert not got.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                got[0] = 5
-        object.__setattr__(obj, "dims", (obj.dims[0] + 1, obj.dims[1]))  # no longer the array's dims, so a copy fails
-        for copy_of in (copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
-            with pytest.raises(DimensionMismatch, match="^dims:"):
+            assert type(copied) is type(obj) and type(got) is type(getattr(obj, name))
+            for field in dataclasses.fields(obj):
+                if field.name != name:
+                    assert getattr(copied, field.name) == getattr(obj, field.name)
+            arrays = got if isinstance(got, tuple) else (got,)
+            assert np.asarray(got).dtype == want.dtype and np.asarray(got).tobytes() == want.tobytes()
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 5
+        object.__setattr__(obj, bad_field, bad_value)  # past the frozen guard, so only a copy's check can fail
+        for copy_of in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
+            with pytest.raises(InvariantViolation, match=error):
                 copy_of(obj)
 
 
 def test_checked_types_are_frozen():
-    rho = fixture("bell(2)")
-    for obj, name in [(rho, "mat"), (bell_state(3), "vec"), (fixture("paper_mub_witness"), "mat")]:
-        for field in ("dims", name):
+    for obj, *_ in checked_objects():
+        for field in dataclasses.fields(obj):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, field, getattr(obj, field))
+                setattr(obj, field.name, getattr(obj, field.name))
+    rho = fixture("bell(2)")
     with pytest.raises(dataclasses.FrozenInstanceError):
         rho.dims = (2, 3)  # dims the 4x4 matrix does not have
-    assert rho.dims == (2, 2)
+    gens = gellmann(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gens.d = 5  # would make spin_witness(bell(2), gens) ask for dims (5, 5)
+    fam = mub_family(3, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.bases = [np.zeros((3, 3))]
+    assert rho.dims == (2, 2) and gens.d == 2 and len(fam.bases) == 2
 
 
 def test_pure_state_norm_invariant():
@@ -114,11 +141,9 @@ def test_schmidt_vector_invariants():
     assert sv.largest == 0.7
     with pytest.raises(InvariantViolation, match="^positivity:"):
         SchmidtVector(coeffs=[1.0, -0.01])
-    for bad in ([np.nan], [1.0, np.nan], [np.nan, 1.0], [-np.inf], [np.inf, -np.inf]):
-        with pytest.raises(InvariantViolation, match="^positivity:"):
-            SchmidtVector(coeffs=bad)
-    for bad in ([np.inf], [np.inf, np.inf], [np.inf, 0.5]):
-        with pytest.raises(InvariantViolation, match="^normalization:"):
+    nonfinite = ([np.nan], [1.0, np.nan], [np.nan, 1.0], [-np.inf], [np.inf, -np.inf], [np.inf], [np.inf, 0.5])
+    for bad in nonfinite:
+        with pytest.raises(InvariantViolation, match="^finiteness:"):
             SchmidtVector(coeffs=bad)
 
 
