@@ -323,6 +323,9 @@ ARRAY_CASES = {
     "non-numeric": ("type", lambda v: _with_last_entry(v, lambda x: "x")),
     "nan": ("finiteness", lambda v: _with_last_entry(v, lambda x: np.nan)),
     "empty": ("shape", lambda v: np.zeros((0,) * v.ndim)),
+    # a trailing axis: a (d, 1) column in place of a state vector, a (d, d, 1) array in place of a matrix
+    "extra-axis": ("shape", lambda v: v[..., None]),
+    "scalar": ("shape", lambda v: v.flat[0]),
 }
 
 

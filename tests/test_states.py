@@ -74,20 +74,20 @@ def test_constructors_reject_nonpositive_dims(kind, dims):
 
 
 def checked_objects():
-    """One object of each frozen type, its array field, and a field value that fails the type's checks."""
+    """One object of each frozen type, its array field, and a field value that fails its checks with the given error."""
     return [
-        (fixture("bell(2)"), "mat", "dims", (3, 2), "^dims:"),
-        (bell_state(3), "vec", "dims", (4, 3), "^dims:"),
-        (fixture("paper_mub_witness"), "mat", "dims", (4, 3), "^dims:"),
-        (SchmidtVector(coeffs=[0.7, 0.3]), "coeffs", "coeffs", np.array([0.3, 0.7]), "^order:"),
-        (gellmann(2), "gens", "d", 5, "^shape:"),
-        (mub_family(3, 2), "bases", "d", 2, "^shape:"),
-        (RotationSet.identity(3, 2), "mats", "mats", (np.diag([1.0, -1.0, 1.0]),), "^axis:"),
+        (fixture("bell(2)"), "mat", "dims", (3, 2), DimensionMismatch, "^dims:"),
+        (bell_state(3), "vec", "dims", (4, 3), DimensionMismatch, "^dims:"),
+        (fixture("paper_mub_witness"), "mat", "dims", (4, 3), DimensionMismatch, "^dims:"),
+        (SchmidtVector(coeffs=[0.7, 0.3]), "coeffs", "coeffs", np.array([0.3, 0.7]), InvariantViolation, "^order:"),
+        (gellmann(2), "gens", "d", 5, InvariantViolation, "^shape:"),
+        (mub_family(3, 2), "bases", "d", 2, InvariantViolation, "^shape:"),
+        (RotationSet.identity(3, 2), "mats", "mats", (np.diag([1.0, -1.0, 1.0]),), InvariantViolation, "^axis:"),
     ]
 
 
 def test_copies_and_unpickled_objects_are_checked_again():
-    for obj, name, bad_field, bad_value, error in checked_objects():
+    for obj, name, bad_field, bad_value, error, message in checked_objects():
         want = np.asarray(getattr(obj, name))
         for copied in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             got = getattr(copied, name)
@@ -96,14 +96,15 @@ def test_copies_and_unpickled_objects_are_checked_again():
                 if field.name != name:
                     assert getattr(copied, field.name) == getattr(obj, field.name)
             arrays = got if isinstance(got, tuple) else (got,)
-            assert np.asarray(got).dtype == want.dtype and np.asarray(got).tobytes() == want.tobytes()
+            stacked = np.asarray(got)
+            assert stacked.dtype == want.dtype and stacked.shape == want.shape and stacked.tobytes() == want.tobytes()
             for arr in arrays:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 5
         object.__setattr__(obj, bad_field, bad_value)  # past the frozen guard, so only a copy's check can fail
         for copy_of in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
-            with pytest.raises(InvariantViolation, match=error):
+            with pytest.raises(error, match=message):
                 copy_of(obj)
 
 
@@ -141,7 +142,8 @@ def test_schmidt_vector_invariants():
     assert sv.largest == 0.7
     with pytest.raises(InvariantViolation, match="^positivity:"):
         SchmidtVector(coeffs=[1.0, -0.01])
-    nonfinite = ([np.nan], [1.0, np.nan], [np.nan, 1.0], [-np.inf], [np.inf, -np.inf], [np.inf], [np.inf, 0.5])
+    nonfinite = ([np.nan], [1.0, np.nan], [np.nan, 1.0], [-np.inf], [np.inf, -np.inf], [np.inf], [np.inf, np.inf],
+                 [np.inf, 0.5])
     for bad in nonfinite:
         with pytest.raises(InvariantViolation, match="^finiteness:"):
             SchmidtVector(coeffs=bad)
