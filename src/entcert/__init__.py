@@ -9,7 +9,6 @@ independent brute-force oracle for bracketing every certificate.
 from .config import TOLS, Tolerances
 from .errors import DimensionMismatch, InvariantViolation, NumericalError
 from .generators import (
-    CollectiveSet,
     GeneratorSet,
     IdentityReport,
     collective,

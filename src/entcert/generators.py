@@ -8,7 +8,7 @@ reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +19,13 @@ from .linalg import Checked, as_array, as_integer, kron, read_only, require, req
 
 @dataclass(frozen=True)
 class GeneratorSet(Checked):
-    """d**2 - 1 Hermitian traceless generators with Tr(g_k g_l) = 2 delta_kl."""
+    """d**2 - 1 Hermitian traceless generators with Tr(g_k g_l) = 2 delta_kl; ``d`` is read from ``gens``."""
 
-    d: int
     gens: np.ndarray  # shape (d**2 - 1, d, d)
 
     def __post_init__(self):
-        d = as_integer(self.d, "dimension", 1)
         gens = as_array(self.gens, 3, "generators")
+        d = gens.shape[1]
         n = d * d - 1
         if gens.shape != (n, d, d):
             raise InvariantViolation(f"shape: expected {n} generators of size {d}x{d}, got {gens.shape}")
@@ -37,16 +36,11 @@ class GeneratorSet(Checked):
         gram = flat.conj() @ flat.T  # Tr(g_k^dag g_l) = Tr(g_k g_l) for Hermitian g_k
         defect = np.abs(gram - 2 * np.eye(n)).max()
         require(defect, TOLS.unit_norm, "orthogonality: max |Tr(g_k g_l) - 2 delta_kl|")
-        object.__setattr__(self, "d", d)
         object.__setattr__(self, "gens", read_only(gens))
 
-
-@dataclass
-class CollectiveSet:
-    """Two-site collective operators G_k = g_k (x) I + I (x) g_k."""
-
-    d: int
-    ops: np.ndarray = field(repr=False)  # shape (d**2 - 1, d**2, d**2)
+    @property
+    def d(self) -> int:
+        return self.gens.shape[1]
 
 
 def gellmann(d: int) -> GeneratorSet:
@@ -73,14 +67,13 @@ def gellmann(d: int) -> GeneratorSet:
         m[np.arange(l), np.arange(l)] = 1.0
         m[l, l] = -l
         mats.append(m * np.sqrt(2.0 / (l * (l + 1))))
-    return GeneratorSet(d=d, gens=np.stack(mats))
+    return GeneratorSet(gens=np.stack(mats))
 
 
-def collective(gens: GeneratorSet) -> CollectiveSet:
-    d = gens.d
-    eye = np.eye(d)
-    ops = np.stack([kron(g, eye) + kron(eye, g) for g in gens.gens])
-    return CollectiveSet(d=d, ops=ops)
+def collective(gens: GeneratorSet) -> np.ndarray:
+    """Two-site collective operators G_k = g_k (x) I + I (x) g_k, stacked with shape (d**2 - 1, d**2, d**2)."""
+    eye = np.eye(gens.d)
+    return np.stack([kron(g, eye) + kron(eye, g) for g in gens.gens])
 
 
 def swap_operator(d: int) -> np.ndarray:

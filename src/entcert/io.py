@@ -141,7 +141,10 @@ def fixture(name: str) -> DensityMatrix | Witness:
 
     ``paper_ppt_state`` and ``paper_mub_witness`` carry exact rational
     entries; ``bell(d)`` and ``singlet`` are the standard maximally
-    entangled projectors.
+    entangled projectors.  The witness is the one
+    ``mub_witness(mub_family(3, 4), RotationSet([R, R, I, I]))`` builds,
+    with ``R = (2/3) ones((3, 3)) - I`` the reflection through the uniform
+    axis, stored as its exact n/3 table.
     """
     if name == "paper_ppt_state":
         mat = np.array(_PPT_STATE_NUM, dtype=np.complex128) / _PPT_STATE_DEN

@@ -4,8 +4,9 @@ Hilbert-Schmidt inner products and norms, Kronecker products, partial
 trace/transpose over a bipartite splitting, Hermitian eigendecomposition
 and SVD, plus the one checking path: ``as_integer``, ``as_real`` and
 ``as_array`` coerce integers, real scalars and arrays of every rank,
-``require`` is the one tolerance check of every invariant, dims and
-Hermiticity have their own checks, and ``Checked`` rebuilds copies and
+``bipartite_array`` is the one comparison of an array's shape with
+``dims``, ``require`` is the one tolerance check of every invariant,
+Hermiticity has its own check, and ``Checked`` rebuilds copies and
 unpickled objects of the frozen types through their constructors.
 Matrices are ``complex128`` arrays; LAPACK does the eigen/SVD work, and
 the contract here is the residual bound, not the algorithm.
@@ -57,11 +58,19 @@ def as_real(value, what: str) -> float:
     return float(value)
 
 
+def _holds_bool(entries) -> bool:
+    """Whether nested lists and tuples hold a bool or an array of bools; other leaves are not walked."""
+    if isinstance(entries, (list, tuple)):
+        return any(_holds_bool(x) for x in entries)
+    return isinstance(entries, (bool, np.bool_)) or isinstance(entries, np.ndarray) and entries.dtype == bool
+
+
 def as_array(entries, ndim: int, what: str, dtype=np.complex128) -> np.ndarray:
     """Coerce to a finite, nonempty ``ndim``-d array of ``dtype``.
 
     A real ``dtype`` refuses entries with a nonzero imaginary part rather
-    than drop it; arrays of bools, strings or other non-numbers are refused.
+    than drop it; arrays of bools, strings or other non-numbers are refused,
+    and so is a bool among numbers in list or tuple input.
     """
     try:
         arr = np.asarray(entries)
@@ -69,6 +78,9 @@ def as_array(entries, ndim: int, what: str, dtype=np.complex128) -> np.ndarray:
         raise InvariantViolation(f"shape: ragged nesting in {what}") from exc
     if arr.dtype.kind not in "iufc":
         raise InvariantViolation(f"type: non-numeric entries ({arr.dtype}) in {what}")
+    # np.asarray reads a bool beside a number as 0 or 1
+    if isinstance(entries, (list, tuple)) and _holds_bool(entries):
+        raise InvariantViolation(f"type: bool entries in {what}")
     if arr.ndim != ndim or arr.size == 0:
         raise InvariantViolation(f"shape: {what} must be a nonempty {ndim}-d array, got {arr.shape}")
     if arr.dtype.kind == "c" and not np.issubdtype(dtype, np.complexfloating):
@@ -97,13 +109,19 @@ def bipartite_dims(dims) -> tuple[int, int]:
     return as_integer(da, "dims", 1), as_integer(db, "dims", 1)
 
 
+def bipartite_array(entries, dims, ndim: int, what: str) -> tuple[tuple[int, int], np.ndarray]:
+    """Checked dims and the array named ``what``, which must have shape ``(dA*dB,) * ndim``."""
+    dims = bipartite_dims(dims)
+    arr = as_array(entries, ndim, what)
+    shape = (dims[0] * dims[1],) * ndim
+    if arr.shape != shape:
+        raise DimensionMismatch(f"dims: {what} is {arr.shape}, dims {dims} require {shape}")
+    return dims, arr
+
+
 def bipartite_operator(dims, entries, what: str) -> tuple[tuple[int, int], np.ndarray]:
     """Checked dims and a read-only Hermitian copy of the dA*dB matrix named ``what``."""
-    dims = bipartite_dims(dims)
-    mat = as_array(entries, 2, what)
-    d = dims[0] * dims[1]
-    if mat.shape != (d, d):
-        raise DimensionMismatch(f"dims: {what} is {mat.shape}, dims {dims} require {(d, d)}")
+    dims, mat = bipartite_array(entries, dims, 2, what)
     require_hermitian(mat, what)
     return dims, read_only(mat)
 
@@ -135,18 +153,10 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_array(a, 2, "matrix"), as_array(b, 2, "matrix"))
 
 
-def _bipartite_tensor(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    da, db = bipartite_dims(dims)
-    if rho.shape != (da * db, da * db):
-        raise DimensionMismatch(
-            f"dims: matrix is {rho.shape}, dims {dims} require {(da * db, da * db)}"
-        )
-    return rho.reshape(da, db, da, db)
-
-
 def partial_trace(rho, dims: tuple[int, int], keep: str) -> np.ndarray:
     """Trace out one subsystem of a (dA*dB)x(dA*dB) matrix, keeping ``"A"`` or ``"B"``."""
-    t = _bipartite_tensor(as_array(rho, 2, "matrix"), dims)
+    dims, rho = bipartite_array(rho, dims, 2, "matrix")
+    t = rho.reshape(dims * 2)  # axes (dA, dB, dA, dB)
     if keep == "A":
         return np.einsum("ijkj->ik", t)
     if keep == "B":
@@ -156,15 +166,15 @@ def partial_trace(rho, dims: tuple[int, int], keep: str) -> np.ndarray:
 
 def partial_transpose(rho, dims: tuple[int, int], on: str) -> np.ndarray:
     """Transpose the indices of one subsystem; involutive, trace preserving."""
-    t = _bipartite_tensor(as_array(rho, 2, "matrix"), dims)
+    dims, rho = bipartite_array(rho, dims, 2, "matrix")
+    t = rho.reshape(dims * 2)  # axes (dA, dB, dA, dB)
     if on == "A":
         t = t.transpose(2, 1, 0, 3)
     elif on == "B":
         t = t.transpose(0, 3, 2, 1)
     else:
         raise InvariantViolation(f"on: subsystem label must be 'A' or 'B', got {on!r}")
-    d = dims[0] * dims[1]
-    return t.reshape(d, d)
+    return t.reshape(rho.shape)
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:

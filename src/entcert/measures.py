@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import as_array, as_integer, as_real
+from .linalg import as_integer, as_real, bipartite_array
 from .states import DensityMatrix, PureState, SchmidtVector, schmidt
 
 
@@ -81,9 +81,8 @@ def diagonal_twirl_matrix(mat: np.ndarray, d: int) -> np.ndarray:
     zeroes the rest; linear, trace preserving, Hermiticity preserving and
     idempotent.
     """
-    d, mat = as_integer(d, "dimension", 1), as_array(mat, 2, "matrix")
-    if mat.shape != (d * d, d * d):
-        raise DimensionMismatch(f"dims: matrix is {mat.shape}, expected {(d * d, d * d)}")
+    d = as_integer(d, "dimension", 1)
+    _, mat = bipartite_array(mat, (d, d), 2, "matrix")
     i, j, k, l = np.indices((d, d, d, d))
     mask = ((i == j) & (k == l)) | ((i == k) & (j == l))
     out = mat.reshape(d, d, d, d) * mask

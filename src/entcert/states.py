@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOLS
-from .errors import DimensionMismatch
-from .linalg import Checked, as_array, as_integer, bipartite_dims, bipartite_operator, read_only, require, svd
+from .linalg import Checked, as_array, as_integer, bipartite_array, bipartite_operator, read_only, require, svd
 
 
 @dataclass(frozen=True)
@@ -43,13 +42,8 @@ class PureState(Checked):
     vec: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", bipartite_dims(self.dims))
-        vec = as_array(self.vec, 1, "vector")
-        d = self.dims[0] * self.dims[1]
-        if vec.shape != (d,):
-            raise DimensionMismatch(
-                f"dims: vector has length {vec.shape[0]}, dims {self.dims} require {d}"
-            )
+        dims, vec = bipartite_array(self.vec, self.dims, 1, "vector")
+        object.__setattr__(self, "dims", dims)
         require(abs(np.linalg.norm(vec) - 1.0), TOLS.unit_norm, "norm: | ||psi|| - 1 |")
         object.__setattr__(self, "vec", read_only(vec))
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,9 +25,7 @@ from .generators import GeneratorSet, swap_operator
 from .linalg import (
     Checked, as_array, as_integer, as_real, bipartite_operator, frobenius_inner, partial_trace, read_only, require
 )
-
-if TYPE_CHECKING:
-    from .states import DensityMatrix
+from .states import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ def normalize_witness(w: Witness) -> WitnessNormalization:
 
 
 def generic_bound(
-    w: Witness, rho: "DensityMatrix", b_override: float | None = None
+    w: Witness, rho: DensityMatrix, b_override: float | None = None
 ) -> BoundCertificate:
     """Distance bound from one witness expectation value.
 
@@ -121,17 +118,15 @@ def generic_bound(
 
 @dataclass(frozen=True)
 class MubFamily(Checked):
-    """L mutually unbiased orthonormal bases of C^d (columns of each array)."""
+    """L mutually unbiased orthonormal bases of C^d (columns of each array); ``d`` is read from ``bases``."""
 
-    d: int
     bases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        d = as_integer(self.d, "dimension", 1)
         stack = as_array(self.bases, 3, "bases")
-        count = len(stack)
-        if stack.shape[1:] != (d, d):
-            raise InvariantViolation(f"shape: bases are {stack.shape[1:]}, expected {(d, d)}")
+        count, d = stack.shape[:2]
+        if stack.shape[2] != d:
+            raise InvariantViolation(f"shape: bases must be square, got {stack.shape[1:]}")
         # entry (a, k, b, l) of the joint Gram matrix is <a_k|b_l>
         flat = stack.transpose(1, 0, 2).reshape(d, count * d)
         gram = (flat.conj().T @ flat).reshape(count, d, count, d).transpose(0, 2, 1, 3)
@@ -140,8 +135,11 @@ class MubFamily(Checked):
         require(defect, TOLS.unit_norm, "orthonormality: max |B_a^dag B_a - I|")
         defect = np.max(np.abs(np.abs(gram[~same]) - 1 / np.sqrt(d)), initial=0.0)
         require(defect, 1e-9, "unbiasedness: max ||<a_k|b_l>| - 1/sqrt(d)| over a != b")
-        object.__setattr__(self, "d", d)
         object.__setattr__(self, "bases", tuple(read_only(stack)))
+
+    @property
+    def d(self) -> int:
+        return self.bases[0].shape[0]
 
 
 def mub_family(d: int, count: int) -> MubFamily:
@@ -168,7 +166,7 @@ def mub_family(d: int, count: int) -> MubFamily:
         for a in range(d):
             cols = [omega ** ((a * j * j + k * j) % d) / np.sqrt(d) for k in range(d)]
             bases.append(np.stack(cols, axis=1))
-    return MubFamily(d=d, bases=bases[:count])
+    return MubFamily(bases=bases[:count])
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,7 @@ def mub_witness(mubs: MubFamily, rotations: RotationSet) -> Witness:
     return Witness(dims=(d, d), mat=mat)
 
 
-def mub_bound(w: Witness, count: int, rho: "DensityMatrix") -> BoundCertificate:
+def mub_bound(w: Witness, count: int, rho: DensityMatrix) -> BoundCertificate:
     """Distance bound using the closed-form radius sqrt(L (d - 1))."""
     if w.dims[0] != w.dims[1]:
         raise DimensionMismatch(f"dims: expected equal local dimensions, got {w.dims}")
@@ -237,7 +235,7 @@ def spin_radius_bound(d: int) -> float:
     return float(np.sqrt(144 * d * d - 224 * d + 112))
 
 
-def spin_witness(rho: "DensityMatrix", gens: GeneratorSet) -> Witness:
+def spin_witness(rho: DensityMatrix, gens: GeneratorSet) -> Witness:
     """Variance witness linearized at ``rho``.
 
     W = sum_k (G_k - m_k I)^2 - 4(d-1) I, with G_k = g_k (x) I + I (x) g_k
@@ -261,7 +259,7 @@ def spin_witness(rho: "DensityMatrix", gens: GeneratorSet) -> Witness:
     return Witness(dims=(d, d), mat=mat)
 
 
-def spin_bound(rho: "DensityMatrix", gens: GeneratorSet) -> BoundCertificate:
+def spin_bound(rho: DensityMatrix, gens: GeneratorSet) -> BoundCertificate:
     """Distance bound from the variance witness at its closed-form radius."""
     w = spin_witness(rho, gens)
     return generic_bound(w, rho, b_override=spin_radius_bound(gens.d))

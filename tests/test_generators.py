@@ -37,26 +37,26 @@ def test_generator_set_rejects_non_hermitian():
     # traceless, with Tr(g_k^dag g_l) = 2 delta_kl, but g_0 and g_1 are not Hermitian
     raising = np.sqrt(2) * np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(InvariantViolation, match="hermiticity"):
-        GeneratorSet(d=2, gens=[raising, raising.T, PAULIS[2]])
+        GeneratorSet(gens=[raising, raising.T, PAULIS[2]])
 
 
 def test_generator_set_validation():
     with pytest.raises(InvariantViolation, match="^tracelessness:"):
-        GeneratorSet(d=2, gens=[PAULIS[0], PAULIS[1], np.eye(2)])
+        GeneratorSet(gens=[PAULIS[0], PAULIS[1], np.eye(2)])
     with pytest.raises(InvariantViolation, match="^orthogonality:"):
-        GeneratorSet(d=2, gens=[PAULIS[0], PAULIS[1], PAULIS[0]])
+        GeneratorSet(gens=[PAULIS[0], PAULIS[1], PAULIS[0]])
     with pytest.raises(InvariantViolation, match="^orthogonality:"):
-        GeneratorSet(d=2, gens=[PAULIS[0], PAULIS[1], 2 * PAULIS[2]])
+        GeneratorSet(gens=[PAULIS[0], PAULIS[1], 2 * PAULIS[2]])
     for bad in (np.nan, np.inf, -np.inf):
         gens = np.array(PAULIS)
         gens[2, 0, 0] = bad
         with pytest.raises(InvariantViolation, match="^finiteness:"):
-            GeneratorSet(d=2, gens=gens)
+            GeneratorSet(gens=gens)
     with pytest.raises(InvariantViolation, match="^finiteness:"):
-        GeneratorSet(d=2, gens=np.full((3, 2, 2), np.nan))
-    for d, gens in ((2, PAULIS[:2]), (2, []), (1, np.zeros((0, 1, 1)))):
+        GeneratorSet(gens=np.full((3, 2, 2), np.nan))
+    for gens in (PAULIS[:2], [], np.zeros((0, 1, 1))):
         with pytest.raises(InvariantViolation, match="^shape:"):
-            GeneratorSet(d=d, gens=gens)
+            GeneratorSet(gens=gens)
 
 
 def test_gellmann_sum_of_squares():
@@ -68,7 +68,7 @@ def test_gellmann_sum_of_squares():
 
 
 def test_collective_diagonal_generator():
-    ops = collective(gellmann(2)).ops
+    ops = collective(gellmann(2))
     # ordering: symmetric, antisymmetric, then diagonal; last one is the
     # two-site z operator
     assert np.allclose(np.diag(ops[2]), [2, 0, 0, -2])
@@ -76,12 +76,12 @@ def test_collective_diagonal_generator():
 
 def test_collective_annihilates_singlet():
     vec = singlet_state().vec
-    for g in collective(gellmann(2)).ops:
+    for g in collective(gellmann(2)):
         assert np.abs(g @ vec).max() < 1e-14
 
 
 def test_collective_traceless_d3():
-    for g in collective(gellmann(3)).ops:
+    for g in collective(gellmann(3)):
         assert abs(np.trace(g)) < 1e-12
         assert np.abs(g - g.conj().T).max() < 1e-14
 

@@ -260,8 +260,6 @@ INTEGER_ARGUMENTS = {
     "swap_operator": ("dimension", 1, 3, swap_operator),
     "RotationSet.identity.d": ("dimension", 1, 3, lambda v: RotationSet.identity(v, 2)),
     "RotationSet.identity.count": ("count", 1, 3, lambda v: RotationSet.identity(3, v)),
-    "GeneratorSet.d": ("dimension", 1, 2, lambda v: GeneratorSet(d=v, gens=[SX, SY, SZ])),
-    "MubFamily.d": ("dimension", 1, 2, lambda v: MubFamily(d=v, bases=mub_family(2, 3).bases)),
     "diagonal_twirl_matrix": ("dimension", 1, 3, lambda v: diagonal_twirl_matrix(np.eye(9), v)),
     "mub_bound.count": ("count", 1, 4, lambda v: mub_bound(PAPER_WITNESS, v, PAPER_STATE)),
     "spin_radius_bound": ("dimension", 1, 3, spin_radius_bound),
@@ -290,8 +288,8 @@ ARRAY_ARGUMENTS = {
     "Witness.mat": (np.diag([1.0, -1.0]), lambda v: Witness(dims=(1, 2), mat=v)),
     "PureState.vec": (bell_state(3).vec, lambda v: PureState(dims=(3, 3), vec=v)),
     "SchmidtVector.coeffs": (np.array([0.7, 0.3]), lambda v: SchmidtVector(coeffs=v)),
-    "GeneratorSet.gens": (np.array([SX, SY, SZ]), lambda v: GeneratorSet(d=2, gens=v)),
-    "MubFamily.bases": (np.array(mub_family(3, 2).bases), lambda v: MubFamily(d=3, bases=v)),
+    "GeneratorSet.gens": (np.array([SX, SY, SZ]), GeneratorSet),
+    "MubFamily.bases": (np.array(mub_family(3, 2).bases), MubFamily),
     "RotationSet.mats": (np.eye(3)[None], RotationSet),
     "frobenius_inner.a": (SX, lambda v: frobenius_inner(v, SY)),
     "frobenius_inner.b": (SX, lambda v: frobenius_inner(SY, v)),
@@ -322,6 +320,8 @@ ARRAY_CASES = {
     "ragged": ("shape", lambda v: _with_last_entry(v, lambda x: [x])),
     "non-numeric": ("type", lambda v: _with_last_entry(v, lambda x: "x")),
     "nan": ("finiteness", lambda v: _with_last_entry(v, lambda x: np.nan)),
+    # np.asarray would read it as 1
+    "bool-entry": ("type", lambda v: _with_last_entry(v, lambda x: True)),
     "empty": ("shape", lambda v: np.zeros((0,) * v.ndim)),
     # a trailing axis: a (d, 1) column in place of a state vector, a (d, d, 1) array in place of a matrix
     "extra-axis": ("shape", lambda v: v[..., None]),

@@ -80,8 +80,8 @@ def checked_objects():
         (bell_state(3), "vec", "dims", (4, 3), DimensionMismatch, "^dims:"),
         (fixture("paper_mub_witness"), "mat", "dims", (4, 3), DimensionMismatch, "^dims:"),
         (SchmidtVector(coeffs=[0.7, 0.3]), "coeffs", "coeffs", np.array([0.3, 0.7]), InvariantViolation, "^order:"),
-        (gellmann(2), "gens", "d", 5, InvariantViolation, "^shape:"),
-        (mub_family(3, 2), "bases", "d", 2, InvariantViolation, "^shape:"),
+        (gellmann(2), "gens", "gens", gellmann(2).gens[[0, 1, 0]], InvariantViolation, "^orthogonality:"),
+        (mub_family(3, 2), "bases", "bases", (np.eye(3), np.eye(3)), InvariantViolation, "^unbiasedness:"),
         (RotationSet.identity(3, 2), "mats", "mats", (np.diag([1.0, -1.0, 1.0]),), InvariantViolation, "^axis:"),
     ]
 
@@ -123,6 +123,12 @@ def test_checked_types_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         fam.bases = [np.zeros((3, 3))]
     assert rho.dims == (2, 2) and gens.d == 2 and len(fam.bases) == 2
+    # d is read from the arrays, so it is no field that could disagree with them
+    for obj in (gens, fam):
+        assert "d" not in {f.name for f in dataclasses.fields(obj)}
+    assert fam.d == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.d = 2
 
 
 def test_pure_state_norm_invariant():
@@ -313,7 +319,7 @@ def test_fixture_singlet_annihilated_by_collectives():
     from entcert import collective, gellmann
 
     vec = singlet_state().vec
-    for g in collective(gellmann(2)).ops:
+    for g in collective(gellmann(2)):
         assert np.abs(g @ vec).max() < 1e-15
 
 

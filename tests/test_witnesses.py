@@ -134,17 +134,18 @@ def test_mub_family_qutrit_overlaps():
 def test_mub_family_validation():
     eye = np.eye(2)
     plus = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-    assert len(MubFamily(d=2, bases=[eye, plus]).bases) == 2
+    assert len(MubFamily(bases=[eye, plus]).bases) == 2
+    assert MubFamily(bases=[np.eye(3)]).d == 3  # one basis is a family; d comes from its shape
     with pytest.raises(InvariantViolation, match="^orthonormality:"):
-        MubFamily(d=2, bases=[eye, np.ones((2, 2))])
+        MubFamily(bases=[eye, np.ones((2, 2))])
     with pytest.raises(InvariantViolation, match="^unbiasedness:"):
-        MubFamily(d=2, bases=[eye, plus, eye[:, ::-1]])
+        MubFamily(bases=[eye, plus, eye[:, ::-1]])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvariantViolation, match="^finiteness:"):
-            MubFamily(d=2, bases=[eye, np.full((2, 2), bad)])
-    for bases in ([], [eye, np.eye(3)], [eye[0]], [np.eye(3)]):
+            MubFamily(bases=[eye, np.full((2, 2), bad)])
+    for bases in ([], [eye, np.eye(3)], [eye[0]], [eye[:1]]):
         with pytest.raises(InvariantViolation, match="^shape:"):
-            MubFamily(d=2, bases=bases)
+            MubFamily(bases=bases)
 
 
 def test_mub_family_rejects_composite():
@@ -223,6 +224,23 @@ def test_mub_bound_paper_values():
     cert = mub_bound(w, 4, rho)
     assert abs(cert.b_used - np.sqrt(8)) < 1e-12
     assert abs(cert.dsep_lower - np.sqrt(2) / 30) <= 1e-12
+
+
+def test_paper_witness_from_the_constructors():
+    # R = 2|u><u| - I reflects through the uniform axis u, so RotationSet accepts it
+    reflection, eye = (2 / 3) * np.ones((3, 3)) - np.eye(3), np.eye(3)
+    fam, rho = mub_family(3, 4), fixture("paper_ppt_state")
+    w = mub_witness(fam, RotationSet([reflection, reflection, eye, eye]))
+    assert np.abs(w.mat - fixture("paper_mub_witness").mat).max() <= 1e-15
+    assert abs(generic_bound(w, rho).dsep_lower - np.sqrt(2) / 30) <= 1e-15
+    assert abs(mub_bound(w, 4, rho).dsep_lower - np.sqrt(2) / 30) <= 1e-15
+    # only reflecting the first two bases detects the state
+    values = {}
+    for pair in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+        rotations = RotationSet([reflection if a in pair else eye for a in range(4)])
+        values[pair] = frobenius_inner(mub_witness(fam, rotations).mat, rho.mat).real
+    assert abs(values.pop((0, 1)) + 2 / 15) <= 1e-12
+    assert all(min(abs(v - 2 / 3), abs(v - 22 / 15)) <= 1e-12 for v in values.values())
 
 
 def test_mub_bound_detects_maximally_entangled():
@@ -326,7 +344,7 @@ def _brute_force_spin_witness(rho, gens):
     d = gens.d
     eye = np.eye(d * d)
     acc = -4.0 * (d - 1) * eye
-    for g in collective(gens).ops:
+    for g in collective(gens):
         shifted = g - np.vdot(g, rho.mat).real * eye
         acc = acc + shifted @ shifted
     return acc
@@ -338,7 +356,7 @@ def test_spin_witness_matches_collective_operator_sum():
         ref = gellmann(d)
         n = d * d - 1
         rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        rotated = GeneratorSet(d=d, gens=np.einsum("kl,lab->kab", rot, ref.gens))
+        rotated = GeneratorSet(gens=np.einsum("kl,lab->kab", rot, ref.gens))
         for _ in range(2):
             rho = DensityMatrix(dims=(d, d), mat=random_density(rng, d * d))
             for gens in (ref, rotated):
