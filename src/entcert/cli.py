@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import InvariantViolation, NumericalError
 from .generators import gellmann
 from .io import fixture, load_state, load_witness, payload
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, require
 from .measures import (
     bounds_from_dsep,
     concurrence_pure,
@@ -38,8 +38,6 @@ from .witnesses import (
     mub_witness,
     spin_bound,
 )
-
-_RANK_TOL = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,11 +97,7 @@ def _cmd_mub_witness(args) -> int:
 def _cmd_pure(args) -> int:
     rho = load_state(args.state)
     w, v = hermitian_eig(rho.mat)
-    if w.size > 1 and w[-2] > _RANK_TOL:
-        raise InvariantViolation(
-            f"rank: state is not rank-1 within {_RANK_TOL:g} "
-            f"(second eigenvalue {w[-2]:.3e})"
-        )
+    require(max(w[:-1], default=0.0), 1e-8, "rank: second-largest eigenvalue of the state")
     psi = PureState(dims=rho.dims, vec=v[:, -1])
     lam, _, _ = schmidt(psi)
     _emit(args, {

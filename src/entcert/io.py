@@ -7,9 +7,10 @@ States and witnesses share one file schema::
 ``matrix`` is row-major with dA*dB rows of dA*dB ``[re, im]`` pairs.
 Witness files carry an extra ``"kind": "witness"`` and are validated for
 Hermiticity only; states must additionally have unit trace and be
-positive semidefinite within tolerance.  ``payload`` is the only writer
-of the schema: the save functions, the CLI and the oracle's ``sigma`` all
-go through it.  Payloads are written with ``json.dumps``, whose shortest
+positive semidefinite within tolerance.  Past the ``[re, im]`` axis the
+matrix is checked as every API array is, under the same invariant names.
+``payload`` is the only writer of the schema: the save functions, the CLI
+and the oracle's ``sigma`` all go through it.  Payloads are written with ``json.dumps``, whose shortest
 round-trip float repr keeps every value, the sign of zero included,
 bit-exact through a save and load.
 """
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import bipartite_dims
+from .linalg import as_array
 from .states import DensityMatrix, bell_state, singlet_state
 from .witnesses import Witness
 
@@ -42,37 +43,24 @@ def payload(obj: DensityMatrix | Witness) -> dict:
     return out
 
 
-def read_matrix_payload(path) -> tuple[tuple[int, int], np.ndarray, str | None]:
+def read_matrix_payload(path) -> tuple[object, np.ndarray, str | None]:
     """Parse the shared schema; returns (dims, matrix, kind).
 
-    Finiteness, Hermiticity and the state invariants are left to the
-    ``DensityMatrix`` and ``Witness`` constructors.
+    The matrix goes through ``as_array``; ``dims``, the shape against it,
+    Hermiticity and the state invariants are left to the ``DensityMatrix``
+    and ``Witness`` constructors, so a fault gets the API's name for it.
     """
     try:
-        text = Path(path).read_text()
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decode errors
         raise InvariantViolation(f"parse: cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise InvariantViolation("parse: payload must be an object with 'dims' and 'matrix'")
-    dims = bipartite_dims(doc["dims"])
-    d = dims[0] * dims[1]
-    expected = f"shape: matrix must be {d} rows of {d} numeric [re, im] pairs"
-    try:
-        pairs = np.array(doc["matrix"])
-    except ValueError as exc:  # ragged nesting
-        raise InvariantViolation(expected) from exc
-    if pairs.shape != (d, d, 2) or pairs.dtype.kind not in "iuf":
-        raise InvariantViolation(f"{expected}, got shape {pairs.shape} of {pairs.dtype}")
-    # beside a number np.array reads true as 1.0, so the entries are checked in a text with a "u" or an
-    # "l": every true and false has one, and no number or key of the schema does (a cheap memchr)
-    if ("u" in text or "l" in text) and any(
-        isinstance(x, bool) for row in doc["matrix"] for pair in row for x in pair
-    ):
-        raise InvariantViolation(f"{expected}, got a boolean entry")
+    pairs = as_array(doc["matrix"], 3, "matrix", float)
+    if pairs.shape[-1] != 2:
+        raise InvariantViolation(f"shape: matrix entries must be [re, im] pairs, got shape {pairs.shape}")
     # viewing (re, im) float pairs as complex keeps the sign of zero, a + 1j*b does not
-    mat = np.ascontiguousarray(pairs, dtype=float).view(np.complex128)[..., 0]
-    return dims, mat, doc.get("kind")
+    return doc["dims"], pairs.view(np.complex128)[..., 0], doc.get("kind")
 
 
 def save_state(rho: DensityMatrix, path) -> None:

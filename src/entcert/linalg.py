@@ -3,11 +3,12 @@
 Hilbert-Schmidt inner products and norms, Kronecker products, partial
 trace/transpose over a bipartite splitting, Hermitian eigendecomposition
 and SVD, plus the one checking path: ``as_integer``, ``as_real`` and
-``as_array`` coerce integers, real scalars and arrays of every rank,
-``bipartite_array`` is the one comparison of an array's shape with
-``dims``, ``require`` is the one tolerance check of every invariant,
-Hermiticity has its own check, and ``Checked`` rebuilds copies and
-unpickled objects of the frozen types through their constructors.
+``as_array`` coerce integers, real scalars and arrays of every rank (file
+matrices too), ``bipartite_array`` is the one comparison of an array's
+shape with ``dims``, ``require`` is the tolerance check of every
+invariant but one ratio (see ``config``), Hermiticity has its own check,
+and ``Checked`` rebuilds copies and unpickled objects of the frozen types
+through their constructors.
 Matrices are ``complex128`` arrays; LAPACK does the eigen/SVD work, and
 the contract here is the residual bound, not the algorithm.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -58,11 +60,16 @@ def as_real(value, what: str) -> float:
     return float(value)
 
 
-def _holds_bool(entries) -> bool:
-    """Whether nested lists and tuples hold a bool or an array of bools; other leaves are not walked."""
-    if isinstance(entries, (list, tuple)):
-        return any(_holds_bool(x) for x in entries)
-    return isinstance(entries, (bool, np.bool_)) or isinstance(entries, np.ndarray) and entries.dtype == bool
+def _holds_bool(entries, depth: int) -> bool:
+    """Whether the leaves of sequences nested ``depth`` deep include a bool, a numpy bool or a bool array."""
+    for _ in range(depth - 1):
+        entries = chain.from_iterable(entries)  # flattens in C; an array met on the way yields its items
+    leaves = list(entries)
+    kinds = set(map(type, leaves))
+    # a 0-d array is a leaf whose type does not tell its dtype
+    return bool in kinds or np.bool_ in kinds or any(issubclass(k, np.ndarray) for k in kinds) and any(
+        x.dtype == bool for x in leaves if isinstance(x, np.ndarray)
+    )
 
 
 def as_array(entries, ndim: int, what: str, dtype=np.complex128) -> np.ndarray:
@@ -79,7 +86,7 @@ def as_array(entries, ndim: int, what: str, dtype=np.complex128) -> np.ndarray:
     if arr.dtype.kind not in "iufc":
         raise InvariantViolation(f"type: non-numeric entries ({arr.dtype}) in {what}")
     # np.asarray reads a bool beside a number as 0 or 1
-    if isinstance(entries, (list, tuple)) and _holds_bool(entries):
+    if isinstance(entries, (list, tuple)) and _holds_bool(entries, arr.ndim):
         raise InvariantViolation(f"type: bool entries in {what}")
     if arr.ndim != ndim or arr.size == 0:
         raise InvariantViolation(f"shape: {what} must be a nonempty {ndim}-d array, got {arr.shape}")

@@ -166,7 +166,7 @@ def mub_family(d: int, count: int) -> MubFamily:
         for a in range(d):
             cols = [omega ** ((a * j * j + k * j) % d) / np.sqrt(d) for k in range(d)]
             bases.append(np.stack(cols, axis=1))
-    return MubFamily(bases=bases[:count])
+    return MubFamily(bases=np.stack(bases[:count]))
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ class RotationSet(Checked):
     @classmethod
     def identity(cls, d: int, count: int) -> "RotationSet":
         d, count = as_integer(d, "dimension", 1), as_integer(count, "count", 1)
-        return cls([np.eye(d) for _ in range(count)])
+        return cls(np.tile(np.eye(d), (count, 1, 1)))
 
 
 def mub_witness(mubs: MubFamily, rotations: RotationSet) -> Witness:

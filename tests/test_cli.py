@@ -175,7 +175,7 @@ def test_invalid_state_file(tmp_path):
     mixed.write_text(json.dumps({"dims": [1, 1], "matrix": [[[True, 0.0]]]}))
     proc = run_cli("twirl", "--state", str(mixed))
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr.startswith("entcert: error: shape:")
+    assert proc.stderr.startswith("entcert: error: type:")
 
 
 def test_missing_file_is_input_error():

@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import numpy as np
@@ -24,6 +25,7 @@ from entcert import (
     generic_bound,
     hermitian_eig,
     kron,
+    load_state,
     mub_bound,
     mub_family,
     partial_trace,
@@ -33,7 +35,7 @@ from entcert import (
     verify_generator_identities,
 )
 from entcert.generators import swap_operator
-from entcert.linalg import bipartite_dims
+from entcert.linalg import as_array, bipartite_dims
 
 from conftest import haar_unitary, random_hermitian
 
@@ -337,6 +339,36 @@ def test_array_arguments_are_refused_by_invariant(entry, bad):
     invariant, make = ARRAY_CASES[bad]
     with pytest.raises(InvariantViolation, match=f"^{invariant}: "):
         call(make(valid))
+
+
+# a state file's [re, im] pairs spoiled as ARRAY_CASES spoil a matrix, and a matrix too big for its dims
+FILE_CASES = {**ARRAY_CASES, "9x9-under-2x2": ("dims", lambda v: np.zeros((9, 9) + v.shape[2:]))}
+
+
+@pytest.mark.parametrize("bad", FILE_CASES)
+def test_a_file_names_a_fault_as_the_api_does(tmp_path, bad):
+    invariant, make = FILE_CASES[bad]
+    error = DimensionMismatch if invariant == "dims" else InvariantViolation
+    valid, call = ARRAY_ARGUMENTS["DensityMatrix.mat"]
+    path = tmp_path / "state.json"
+    pairs = make(np.stack([valid.real, valid.imag], -1))
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": pairs}, default=np.ndarray.tolist))
+    with pytest.raises(error, match=f"^{invariant}: "):
+        call(make(valid))
+    with pytest.raises(error, match=f"^{invariant}: "):
+        load_state(path)
+
+
+@pytest.mark.parametrize("entries", [
+    [np.bool_(True), 1.0],
+    [[1.0, 0.0], np.array([True, False])],
+    # a leaf whose type does not tell its dtype
+    [np.array(True), 1.0],
+    [[1.0, np.array(False)]],
+], ids=["numpy-bool", "bool-sub-array", "0-d-bool-array", "nested-0-d-bool-array"])
+def test_bool_leaves_are_refused(entries):
+    with pytest.raises(InvariantViolation, match="^type: bool entries in x$"):
+        as_array(entries, np.ndim(entries), "x", float)
 
 
 # every public real argument: its invariant name, a valid value and a call that passes it
