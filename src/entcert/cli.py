@@ -6,6 +6,12 @@ violated invariant), 2 on numerical failure (eigensolver error or oracle
 non-convergence).  All results go to stdout as a single JSON document
 written by ``json.dumps``; ``--out`` first writes the same text to a file.
 Informational chatter goes to stderr and is silenced by ``--quiet``.
+
+A caller that runs ``main`` many times in one process reuses the basis
+witness of each ``(d, L)`` and the Gell-Mann set of each ``d`` that
+``bound --mub``, ``mub-witness`` and ``bound --spin`` build, at most 16 of
+each (least recently used first out).  A one-shot ``entcert`` process
+builds each once anyway and gains nothing.
 """
 
 from __future__ import annotations
@@ -71,26 +77,34 @@ def _certificate_payload(cert) -> dict:
     return doc
 
 
+# Each depends only on its arguments and returns a frozen object with read-only
+# arrays, so callers in one process share it; an exception is not cached.
+@functools.lru_cache(maxsize=16)
+def _basis_witness(d: int, count: int):
+    return mub_witness(mub_family(d, count), RotationSet.identity(d, count))
+
+
+@functools.lru_cache(maxsize=16)
+def _generators(d: int):
+    return gellmann(d)
+
+
 def _cmd_bound(args) -> int:
     rho = load_state(args.state)
     if args.witness_file:
         cert = generic_bound(load_witness(args.witness_file), rho)
     elif args.mub:
         d, count = args.mub
-        fam = mub_family(d, count)
-        w = mub_witness(fam, RotationSet.identity(d, count))
-        cert = mub_bound(w, count, rho)
+        cert = mub_bound(_basis_witness(d, count), count, rho)
     else:
-        cert = spin_bound(rho, gellmann(rho.dims[0]))
+        cert = spin_bound(rho, _generators(rho.dims[0]))
     _info(args, f"certified={cert.certified} dsep_lower={cert.dsep_lower:.6g}")
     _emit(args, _certificate_payload(cert))
     return 0
 
 
 def _cmd_mub_witness(args) -> int:
-    fam = mub_family(args.d, args.L)
-    w = mub_witness(fam, RotationSet.identity(args.d, args.L))
-    _emit(args, payload(w), out=args.out)
+    _emit(args, payload(_basis_witness(args.d, args.L)), out=args.out)
     return 0
 
 

@@ -120,7 +120,7 @@ def generic_bound(
 class MubFamily(Checked):
     """L mutually unbiased orthonormal bases of C^d (columns of each array); ``d`` is read from ``bases``."""
 
-    bases: tuple[np.ndarray, ...]
+    bases: np.ndarray  # shape (L, d, d)
 
     def __post_init__(self):
         stack = as_array(self.bases, 3, "bases")
@@ -135,11 +135,11 @@ class MubFamily(Checked):
         require(defect, TOLS.unit_norm, "orthonormality: max |B_a^dag B_a - I|")
         defect = np.max(np.abs(np.abs(gram[~same]) - 1 / np.sqrt(d)), initial=0.0)
         require(defect, 1e-9, "unbiasedness: max ||<a_k|b_l>| - 1/sqrt(d)| over a != b")
-        object.__setattr__(self, "bases", tuple(read_only(stack)))
+        object.__setattr__(self, "bases", read_only(stack))
 
     @property
     def d(self) -> int:
-        return self.bases[0].shape[0]
+        return self.bases.shape[1]
 
 
 def mub_family(d: int, count: int) -> MubFamily:
@@ -155,25 +155,23 @@ def mub_family(d: int, count: int) -> MubFamily:
     count = as_integer(count, "count", 2)
     if count > d + 1:
         raise InvariantViolation(f"count: need 2 <= L <= d+1 = {d + 1}, got {count}")
-    bases = [np.eye(d, dtype=np.complex128)]
     if d == 2:
         s = 1 / np.sqrt(2)
-        bases.append(np.array([[s, s], [s, -s]], dtype=np.complex128))
-        bases.append(np.array([[s, s], [1j * s, -1j * s]], dtype=np.complex128))
+        bases = np.array([np.eye(2), [[s, s], [s, -s]], [[s, s], [1j * s, -1j * s]]], dtype=np.complex128)[:count]
     else:
+        # entry (a, j, k) is component j of vector k of quadratic-phase basis a
         omega = np.exp(2j * np.pi / d)
-        j = np.arange(d)
-        for a in range(d):
-            cols = [omega ** ((a * j * j + k * j) % d) / np.sqrt(d) for k in range(d)]
-            bases.append(np.stack(cols, axis=1))
-    return MubFamily(bases=np.stack(bases[:count]))
+        a, j, k = np.ogrid[:count - 1, :d, :d]
+        phases = omega ** ((a * j * j + k * j) % d) / np.sqrt(d)
+        bases = np.concatenate([np.eye(d, dtype=np.complex128)[None], phases])
+    return MubFamily(bases=bases)
 
 
 @dataclass(frozen=True)
 class RotationSet(Checked):
     """Real orthogonal matrices fixing the uniform axis (1,...,1)/sqrt(d)."""
 
-    mats: tuple[np.ndarray, ...]
+    mats: np.ndarray  # shape (L, d, d)
 
     def __post_init__(self):
         stack = as_array(self.mats, 3, "rotations", float)
@@ -185,7 +183,7 @@ class RotationSet(Checked):
         axis = np.full(d, 1 / np.sqrt(d))
         defect = np.abs(stack @ axis - axis).max()
         require(defect, TOLS.unit_norm, "axis: max |O u - u| for the uniform axis u")
-        object.__setattr__(self, "mats", tuple(read_only(stack)))
+        object.__setattr__(self, "mats", read_only(stack))
 
     @classmethod
     def identity(cls, d: int, count: int) -> "RotationSet":

@@ -1,12 +1,15 @@
+import importlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entcert import DensityMatrix, OracleConfig, diagonal_twirl, fixture, load_state, save_state
+from entcert import cli
 from entcert.cli import _build_parser, main
 
 
@@ -251,3 +254,44 @@ def test_main_reuses_parser_across_calls(paper_files, capsys):
     assert capsys.readouterr().err.startswith("usage: entcert bound")
     assert [stdout_of(argv) for argv in calls] == before
     assert _build_parser() is _build_parser()
+
+
+def test_main_builds_each_witness_once(paper_files, monkeypatch, capsys):
+    state, _ = paper_files
+    built = []
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def call(*args):
+            built.append((name, args))
+            return real(*args)
+        return call
+
+    for name in ("mub_family", "gellmann"):
+        monkeypatch.setattr(cli, name, counted(name))
+    cli._basis_witness.cache_clear()
+    cli._generators.cache_clear()
+
+    def stdout_of(*flags):
+        assert main(["bound", "--state", str(state), *flags, "--quiet"]) == 0
+        return capsys.readouterr().out
+
+    assert stdout_of("--mub", "3", "4") == stdout_of("--mub", "3", "4")
+    assert built == [("mub_family", (3, 4))]
+    stdout_of("--mub", "3", "2")
+    assert built == [("mub_family", (3, 4)), ("mub_family", (3, 2))]
+    built.clear()
+    assert stdout_of("--spin") == stdout_of("--spin")
+    assert built == [("gellmann", (3,))]
+    assert not cli._basis_witness(3, 4).mat.flags.writeable
+    assert built == [("gellmann", (3,))]
+
+
+def test_console_script_runs_in_process(capsys):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+    module, _, attr = project["project"]["scripts"]["entcert"].partition(":")
+    assert (module, attr) == ("entcert.cli", "main")
+    assert getattr(importlib.import_module(module), attr)(["fixtures", "--name", "singlet", "--quiet"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [2, 2]

@@ -131,6 +131,24 @@ def test_mub_family_qutrit_overlaps():
                 assert np.abs(overlaps - 1 / np.sqrt(3)).max() < 1e-9
 
 
+def quadratic_phase_bases_by_column(d):
+    """The d quadratic-phase bases of an odd prime d, one column at a time: the reference for ``mub_family``."""
+    omega = np.exp(2j * np.pi / d)
+    j = np.arange(d)
+    return [np.stack([omega ** ((a * j * j + k * j) % d) / np.sqrt(d) for k in range(d)], axis=1) for a in range(d)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_mub_family_is_a_prefix_of_the_full_family(d):
+    full = mub_family(d, d + 1).bases
+    for count in range(2, d + 2):
+        bases = mub_family(d, count).bases
+        assert bases.shape == (count, d, d) and bases.tobytes() == full[:count].tobytes()
+    if d > 2:
+        want = np.stack([np.eye(d, dtype=np.complex128), *quadratic_phase_bases_by_column(d)])
+        assert full.tobytes() == want.tobytes()
+
+
 def test_mub_family_validation():
     eye = np.eye(2)
     plus = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
