@@ -52,7 +52,8 @@ def read_matrix_payload(path) -> tuple[object, np.ndarray, str | None]:
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decode errors
+    # ValueError covers JSON and UTF-8 decode errors, RecursionError too deep a nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvariantViolation(f"parse: cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise InvariantViolation("parse: payload must be an object with 'dims' and 'matrix'")
@@ -63,8 +64,12 @@ def read_matrix_payload(path) -> tuple[object, np.ndarray, str | None]:
     return doc["dims"], pairs.view(np.complex128)[..., 0], doc.get("kind")
 
 
+def _save(obj: DensityMatrix | Witness, path) -> None:
+    Path(path).write_text(json.dumps(payload(obj)) + "\n")
+
+
 def save_state(rho: DensityMatrix, path) -> None:
-    Path(path).write_text(json.dumps(payload(rho)) + "\n")
+    _save(rho, path)
 
 
 def load_state(path) -> DensityMatrix:
@@ -76,7 +81,7 @@ def load_state(path) -> DensityMatrix:
 
 
 def save_witness(w: Witness, path) -> None:
-    Path(path).write_text(json.dumps(payload(w)) + "\n")
+    _save(w, path)
 
 
 def load_witness(path) -> Witness:

@@ -1,3 +1,4 @@
+import gc
 import warnings
 
 import numpy as np
@@ -15,6 +16,20 @@ def runtime_warnings_are_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         yield
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """A test that leaves the cyclic garbage collector disabled fails.
+
+    ``cli.main`` pauses the collector for each call; a pause that leaks
+    past its call fails whichever test it leaks from.  The collector is
+    enabled again first, so that the tests after it run as usual.
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 def haar_vector(rng, d):

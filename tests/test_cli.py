@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import math
@@ -8,9 +9,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entcert import DensityMatrix, OracleConfig, diagonal_twirl, fixture, load_state, save_state
+from entcert import (
+    DensityMatrix,
+    NumericalError,
+    OracleConfig,
+    RotationSet,
+    diagonal_twirl,
+    fixture,
+    load_state,
+    mub_family,
+    mub_witness,
+    save_state,
+    save_witness,
+)
 from entcert import cli
 from entcert.cli import _build_parser, main
+
+from conftest import random_density
 
 
 def run_cli(*args):
@@ -206,6 +221,77 @@ def test_unwritable_out_is_an_input_error(tmp_path, paper_files, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"entcert: error: output: cannot write {out}: ")
         assert "Traceback" not in captured.err
+
+
+def test_deeply_nested_file_is_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"dims": [2, 2], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["bound", "--spin", "--state", str(deep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"entcert: error: parse: cannot read {deep}: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def files7(tmp_path_factory):
+    """A 7x7 Wishart state file and the d = 7, L = 8 basis witness file."""
+    root = tmp_path_factory.mktemp("d7")
+    state, witness = root / "f7.json", root / "w7.json"
+    save_state(DensityMatrix(dims=(7, 7), mat=random_density(np.random.default_rng(7), 49)), state)
+    save_witness(mub_witness(mub_family(7, 8), RotationSet.identity(7, 8)), witness)
+    return str(state), str(witness)
+
+
+def test_main_starts_no_collection(files7, capsys):
+    state, witness = files7
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    # CPython's young threshold through 3.12, so that a 7x7 command run
+    # without the pause starts collections whatever the version's default
+    threshold = gc.get_threshold()
+    gc.set_threshold(700, *threshold[1:])
+    gc.callbacks.append(hook)
+    try:
+        for argv in (["twirl", "--state", state, "--quiet"],
+                     ["bound", "--witness-file", witness, "--state", state, "--quiet"]):
+            gc.collect()  # so that what ran before cannot start one
+            started.clear()
+            assert main(argv) == 0
+            assert started == []
+            assert capsys.readouterr().out.startswith("{")
+    finally:
+        gc.callbacks.remove(hook)
+        gc.set_threshold(*threshold)
+    assert gc.isenabled()
+
+
+def test_main_restores_the_collector(files7, monkeypatch, capsys):
+    state, _ = files7
+    twirl = ["twirl", "--state", state, "--quiet"]
+    assert main(twirl) == 0
+    assert gc.isenabled()
+    assert main(["twirl", "--state", state + ".missing"]) == 1
+    assert gc.isenabled()
+    # a caller that disabled the collector finds it still disabled
+    gc.disable()
+    try:
+        assert main(twirl) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    def fail(rho):
+        raise NumericalError("eigensolver did not converge")
+
+    monkeypatch.setattr(cli, "diagonal_twirl", fail)
+    assert main(twirl) == 2
+    assert gc.isenabled()
+    assert capsys.readouterr().err.endswith("entcert: numerical failure: eigensolver did not converge\n")
 
 
 def test_bad_usage_exits_one():

@@ -233,6 +233,14 @@ def test_load_rejects_garbage(tmp_path):
         load_state(path)
 
 
+def test_load_rejects_deep_nesting(tmp_path):
+    # json.loads raises RecursionError, not ValueError, past its nesting limit
+    path = tmp_path / "deep.json"
+    path.write_text('{"dims": [2, 2], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(InvariantViolation, match="^parse: cannot read .*recursion"):
+        load_state(path)
+
+
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(InvariantViolation, match="parse"):
         load_state(tmp_path / "missing.json")
