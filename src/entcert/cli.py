@@ -1,17 +1,17 @@
 """Command-line front end: state files in, JSON certificates out.
 
 Exit codes: 0 on success, 1 on invalid input (parse or invariant failure,
-or an ``--out`` path that cannot be written; the message names the
-violated invariant), 2 on numerical failure (eigensolver error or oracle
-non-convergence).  All results go to stdout as a single JSON document
-written by ``json.dumps``; ``--out`` first writes the same text to a file.
-Informational chatter goes to stderr and is silenced by ``--quiet``.
+an ``--out`` path that cannot be written, or a size too large to
+allocate; the message names the violated invariant), 2 on numerical
+failure (eigensolver error or oracle non-convergence).  All results go
+to stdout as a single JSON document written by ``json.dumps``; ``--out``
+first writes the same text to a file.  Informational chatter goes to
+stderr and is silenced by ``--quiet``.
 
 A caller that runs ``main`` many times in one process reuses the basis
-witness of each ``(d, L)`` and the Gell-Mann set of each ``d`` that
-``bound --mub``, ``mub-witness`` and ``bound --spin`` build, at most 16 of
-each (least recently used first out).  A one-shot ``entcert`` process
-builds each once anyway and gains nothing.
+witness of each ``(d, L)`` that ``bound --mub`` and ``mub-witness`` build,
+at most 16 (least recently used first out).  A one-shot ``entcert``
+process builds each once anyway and gains nothing.
 
 Each ``main`` call runs its command with the cyclic garbage collector
 paused: the JSON trees a command decodes and prints (2,401 pairs for a
@@ -32,17 +32,9 @@ import sys
 from pathlib import Path
 
 from .errors import InvariantViolation, NumericalError
-from .generators import gellmann
 from .io import fixture, load_state, load_witness, payload
 from .linalg import hermitian_eig, require
-from .measures import (
-    bounds_from_dsep,
-    concurrence_pure,
-    diagonal_twirl,
-    dsep_pure,
-    eof_pure,
-    geometric_pure,
-)
+from .measures import concurrence_pure, diagonal_twirl, dsep_pure, eof_pure, geometric_pure
 from .oracle import OracleConfig, dsep_upper
 from .states import PureState, schmidt
 from .witnesses import (
@@ -79,23 +71,11 @@ def _emit(args, doc: dict, out: str | None = None) -> None:
     sys.stdout.write(text)
 
 
-def _certificate_payload(cert) -> dict:
-    bounds = bounds_from_dsep(cert.dsep_lower).to_json()
-    doc = cert.to_json()
-    doc.update((k, v) for k, v in bounds.items() if k != "dsep_lower")
-    return doc
-
-
-# Each depends only on its arguments and returns a frozen object with read-only
+# Depends only on its arguments and returns a frozen object with read-only
 # arrays, so callers in one process share it; an exception is not cached.
 @functools.lru_cache(maxsize=16)
 def _basis_witness(d: int, count: int):
     return mub_witness(mub_family(d, count), RotationSet.identity(d, count))
-
-
-@functools.lru_cache(maxsize=16)
-def _generators(d: int):
-    return gellmann(d)
 
 
 def _cmd_bound(args) -> int:
@@ -106,9 +86,9 @@ def _cmd_bound(args) -> int:
         d, count = args.mub
         cert = mub_bound(_basis_witness(d, count), count, rho)
     else:
-        cert = spin_bound(rho, _generators(rho.dims[0]))
+        cert = spin_bound(rho)
     _info(args, f"certified={cert.certified} dsep_lower={cert.dsep_lower:.6g}")
-    _emit(args, _certificate_payload(cert))
+    _emit(args, cert.to_json())
     return 0
 
 
@@ -228,6 +208,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except InvariantViolation as exc:
         print(f"entcert: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the size: "Unable to allocate 14.6 TiB ..."
+        print(f"entcert: error: size: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"entcert: numerical failure: {exc}", file=sys.stderr)

@@ -274,6 +274,14 @@ def _openblas_function(verb: str):
     return None
 
 
+@cache
+def _prctl():
+    """libc's ``prctl``; a ``ctypes`` handle holds reference cycles, so one is made per process."""
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    return prctl
+
+
 def _fork_workers(restarts: int) -> int:
     """Children forked to share the restarts with the caller: one per further core and restart.
 
@@ -289,8 +297,7 @@ def _fork_workers(restarts: int) -> int:
 def _fork_share(rho: DensityMatrix, cfg: OracleConfig, restarts: range):
     """Pid and file of a forked child that pickles into it the result of each restart in ``restarts``."""
     parent = os.getpid()
-    prctl = ctypes.CDLL(None).prctl  # resolved before the fork, so the child only calls it
-    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl = _prctl()  # resolved before the fork, so the child only calls it
     report = os.fdopen(os.memfd_create("entcert-restarts"), "w+b")  # unlike a pipe, never full
     try:
         pid = os.fork()

@@ -9,7 +9,8 @@ where ``b`` is the Frobenius norm of the traceless part of ``W`` (or any
 upper bound on it).  Two witness families are built here: the projector
 family derived from mutually unbiased bases, and the variance witness
 derived from the collective-operator squeezing inequality.  Via the SU(d)
-generator identities it needs only the marginals, the swap and ``gens.d``.
+generator identities it needs only the marginals, the swap and ``d``.
+A certificate carries the distance bound and the measure bounds it implies.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .generators import GeneratorSet, swap_operator
 from .linalg import (
     Checked, as_array, as_integer, as_real, bipartite_operator, frobenius_inner, partial_trace, read_only, require
 )
+from .measures import bounds_from_dsep
 from .states import DensityMatrix
 
 
@@ -56,12 +58,25 @@ class WitnessNormalization:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """A certified lower bound on the Frobenius distance to the separable set."""
+    """A certified lower bound on the Frobenius distance to the separable set.
+
+    The measure bounds are derived from ``dsep_lower`` by ``bounds_from_dsep``,
+    which refuses a distance outside [0, 1): no state is that far from the
+    separable set, so such a value means ``W`` was not a witness.
+    """
 
     witness_value: float
     b_used: float
     dsep_lower: float
     certified: bool
+    concurrence_lower: float = field(init=False)
+    eof_lower: float = field(init=False)       # bits
+    geometric_lower: float = field(init=False)  # heuristic, see ``bounds_from_dsep``
+
+    def __post_init__(self):
+        bounds = bounds_from_dsep(self.dsep_lower)
+        for name in ("concurrence_lower", "eof_lower", "geometric_lower"):
+            object.__setattr__(self, name, getattr(bounds, name))
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -233,20 +248,20 @@ def spin_radius_bound(d: int) -> float:
     return float(np.sqrt(144 * d * d - 224 * d + 112))
 
 
-def spin_witness(rho: DensityMatrix, gens: GeneratorSet) -> Witness:
-    """Variance witness linearized at ``rho``.
+def spin_witness(rho: DensityMatrix, gens: GeneratorSet | None = None) -> Witness:
+    """Variance witness linearized at ``rho``; ``d`` is read from ``gens`` if given, else from ``rho``.
 
     W = sum_k (G_k - m_k I)^2 - 4(d-1) I, with G_k = g_k (x) I + I (x) g_k
     and m_k = Tr(G_k rho), is the collective variance minus its separable
     floor.  With F the swap and X = rho_A + rho_B, the identities
     sum_k g_k^2 = 2(d^2-1)/d I, sum_k g_k (x) g_k = 2(F - I/d) and
     sum_k Tr(g_k X) g_k = 2(X - Tr X I/d), which hold for every orthonormal
-    Hermitian generator set (so only ``gens.d`` is used), give
+    Hermitian generator set (so no set is needed, only ``d``), give
 
         W = (4 - 8/d + Tr(M^2)/2) I + 4F - 2(M (x) I + I (x) M),
         M = sum_k m_k g_k = 2(X - Tr X I/d) = 2X - (4/d) I.
     """
-    d = gens.d
+    d = as_integer(rho.dims[0], "dimension", 2) if gens is None else gens.d
     if rho.dims != (d, d):
         raise DimensionMismatch(f"dims: the variance witness needs dims ({d}, {d}), got {rho.dims}")
     eye = np.eye(d)
@@ -257,7 +272,7 @@ def spin_witness(rho: DensityMatrix, gens: GeneratorSet) -> Witness:
     return Witness(dims=(d, d), mat=mat)
 
 
-def spin_bound(rho: DensityMatrix, gens: GeneratorSet) -> BoundCertificate:
+def spin_bound(rho: DensityMatrix, gens: GeneratorSet | None = None) -> BoundCertificate:
     """Distance bound from the variance witness at its closed-form radius."""
     w = spin_witness(rho, gens)
-    return generic_bound(w, rho, b_override=spin_radius_bound(gens.d))
+    return generic_bound(w, rho, b_override=spin_radius_bound(w.dims[0]))

@@ -32,6 +32,12 @@ def collector_left_enabled():
         pytest.fail("the test left the cyclic garbage collector disabled")
 
 
+# the fields of a certificate, in the order `entcert bound` prints them
+CERTIFICATE_KEYS = [
+    "witness_value", "b_used", "dsep_lower", "certified", "concurrence_lower", "eof_lower", "geometric_lower"
+]
+
+
 def haar_vector(rng, d):
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return z / np.linalg.norm(z)

@@ -11,9 +11,11 @@ import pytest
 
 from entcert import (
     DensityMatrix,
+    GeneratorSet,
     NumericalError,
     OracleConfig,
     RotationSet,
+    Witness,
     diagonal_twirl,
     fixture,
     load_state,
@@ -25,7 +27,7 @@ from entcert import (
 from entcert import cli
 from entcert.cli import _build_parser, main
 
-from conftest import random_density
+from conftest import CERTIFICATE_KEYS, random_density
 
 
 def run_cli(*args):
@@ -128,6 +130,33 @@ def test_spin_bound_rejects_unequal_dims(tmp_path):
     assert "dims:" in proc.stderr
     assert "variance witness" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_spin_bound_rejects_one_dimensional_sites(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    save_state(DensityMatrix(dims=(1, 1), mat=np.eye(1)), path)
+    assert main(["bound", "--state", str(path), "--spin"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("entcert: error: dimension:")
+
+
+def test_bound_prints_the_certificate_keys_in_order(paper_files, capsys):
+    state, witness = paper_files
+    for flags in (["--witness-file", str(witness)], ["--mub", "3", "4"], ["--spin"]):
+        assert main(["bound", "--state", str(state), *flags, "--quiet"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == CERTIFICATE_KEYS, flags  # json keeps the order
+
+
+def test_bound_refuses_a_witness_file_that_is_no_witness(tmp_path, capsys):
+    # -I + 0.1 Z(x)Z would put |01> at distance 5.5 from the separable set, farther than any state can be
+    witness, state = tmp_path / "w.json", tmp_path / "ket01.json"
+    save_witness(Witness(dims=(2, 2), mat=-np.eye(4) + 0.1 * np.diag([1.0, -1.0, -1.0, 1.0])), witness)
+    save_state(DensityMatrix(dims=(2, 2), mat=np.diag([0.0, 1.0, 0.0, 0.0])), state)
+    assert main(["bound", "--state", str(state), "--witness-file", str(witness)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "entcert: error: range: distance bound must lie in [0, 1), got 5.5\n"
 
 
 def test_mub_witness_output(tmp_path):
@@ -294,6 +323,25 @@ def test_main_restores_the_collector(files7, monkeypatch, capsys):
     assert capsys.readouterr().err.endswith("entcert: numerical failure: eigensolver did not converge\n")
 
 
+def test_main_reports_memory_error_as_size(monkeypatch, capsys):
+    def too_large(name):  # as numpy fails for bell(1000), a 10^6 x 10^6 complex matrix
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setattr(cli, "fixture", too_large)
+    assert main(["fixtures", "--name", "bell(1000)"]) == 1
+    assert gc.isenabled()
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "entcert: error: size: Unable to allocate 14.6 TiB for an array with shape (1000000, 1000000)\n"
+
+    def out_of_memory(name):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "fixture", out_of_memory)
+    assert main(["fixtures", "--name", "bell(1000)"]) == 1
+    assert capsys.readouterr().err == "entcert: error: size: out of memory\n"
+
+
 def test_bad_usage_exits_one():
     proc = run_cli("bound")
     assert proc.returncode == 1
@@ -354,10 +402,10 @@ def test_main_builds_each_witness_once(paper_files, monkeypatch, capsys):
             return real(*args)
         return call
 
-    for name in ("mub_family", "gellmann"):
-        monkeypatch.setattr(cli, name, counted(name))
+    monkeypatch.setattr(cli, "mub_family", counted("mub_family"))
+    check = GeneratorSet.__post_init__
+    monkeypatch.setattr(GeneratorSet, "__post_init__", lambda gens: (built.append("GeneratorSet"), check(gens)))
     cli._basis_witness.cache_clear()
-    cli._generators.cache_clear()
 
     def stdout_of(*flags):
         assert main(["bound", "--state", str(state), *flags, "--quiet"]) == 0
@@ -369,9 +417,9 @@ def test_main_builds_each_witness_once(paper_files, monkeypatch, capsys):
     assert built == [("mub_family", (3, 4)), ("mub_family", (3, 2))]
     built.clear()
     assert stdout_of("--spin") == stdout_of("--spin")
-    assert built == [("gellmann", (3,))]
+    assert built == []  # the variance witness needs only d, read from the state: no Gell-Mann set is built
     assert not cli._basis_witness(3, 4).mat.flags.writeable
-    assert built == [("gellmann", (3,))]
+    assert built == []
 
 
 def test_console_script_runs_in_process(capsys):

@@ -1,4 +1,5 @@
 import errno
+import gc
 import multiprocessing
 import os
 import pickle
@@ -609,6 +610,25 @@ def test_import_and_forked_call_load_no_multiprocessing():
     imported = "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
     probe = f"import sys; from entcert import *\n{imported}\ndsep_upper(fixture('bell(2)'), {FORKED!r})\n{imported}"
     assert _python(probe) == "[]\n[]\n"
+
+
+def test_forked_calls_leave_no_cyclic_garbage():
+    if oracle._fork_workers(FORKED.restarts) == 0:
+        pytest.skip(UNFORKED)
+    rho = fixture("bell(2)")
+    dsep_upper(rho, FORKED)  # what a process resolves once, such as the OpenBLAS functions, is kept
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # the collector keeps what it finds unreachable in gc.garbage
+    try:
+        for _ in range(3):
+            dsep_upper(rho, FORKED)
+        gc.collect()
+        left = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_oracle_ensemble_reconstructs_sigma(rng):

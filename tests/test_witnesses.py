@@ -9,6 +9,7 @@ from entcert import (
     MubFamily,
     RotationSet,
     Witness,
+    bounds_from_dsep,
     collective,
     fixture,
     frobenius_inner,
@@ -23,7 +24,7 @@ from entcert import (
     spin_witness,
 )
 
-from conftest import random_density, random_product_batch
+from conftest import CERTIFICATE_KEYS, random_density, random_product_batch
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -107,8 +108,19 @@ def test_generic_bound_dimension_mismatch():
 
 def test_certificate_serialization():
     cert = generic_bound(fixture("paper_mub_witness"), fixture("paper_ppt_state"))
-    payload = cert.to_json()
-    assert set(payload) == {"witness_value", "b_used", "dsep_lower", "certified"}
+    assert list(cert.to_json()) == CERTIFICATE_KEYS  # the order `entcert bound` prints
+    bounds = bounds_from_dsep(cert.dsep_lower)
+    assert cert.to_json() == {**cert.to_json(), **bounds.to_json()}
+    assert cert.concurrence_lower == bounds.concurrence_lower == pytest.approx(1 / 15, abs=1e-12)
+
+
+def test_generic_bound_refuses_an_impossible_distance():
+    # -I + 0.1 Z(x)Z is negative on every state, so it is no witness: the bound would read 1.1 / 0.2 = 5.5,
+    # but no state is as far as sqrt(1 - 1/D) < 1 from the separable set
+    w = Witness(dims=(2, 2), mat=-np.eye(4) + 0.1 * np.kron(SZ, SZ))
+    ket01 = DensityMatrix(dims=(2, 2), mat=np.diag([0.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(InvariantViolation, match=r"^range: distance bound must lie in \[0, 1\), got 5.5$"):
+        generic_bound(w, ket01)
 
 
 def test_mub_family_qubit():
@@ -325,6 +337,17 @@ def test_spin_bound_maximally_mixed():
 def test_spin_bound_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         spin_bound(fixture("paper_ppt_state"), gellmann(2))
+    with pytest.raises(DimensionMismatch, match="^dims:"):
+        spin_bound(DensityMatrix(dims=(2, 3), mat=np.eye(6) / 6))
+    with pytest.raises(InvariantViolation, match="^dimension:"):
+        spin_bound(DensityMatrix(dims=(1, 1), mat=np.eye(1)))
+
+
+def test_spin_bound_reads_d_from_the_state(rng):
+    for d in (2, 3, 5):
+        rho = DensityMatrix(dims=(d, d), mat=random_density(rng, d * d))
+        assert np.array_equal(spin_witness(rho).mat, spin_witness(rho, gellmann(d)).mat)
+        assert repr(spin_bound(rho)) == repr(spin_bound(rho, gellmann(d))), f"d={d}"  # float reprs round-trip
 
 
 def test_spin_witness_nonnegative_on_products_and_mixtures(rng):
