@@ -12,6 +12,12 @@ closed form on a qubit.  Whatever the optimizer reaches, the returned
 value is a distance to an explicitly separable state, hence always a
 valid upper bound on the true distance.
 
+The weight solves and the eigenvectors call ``solve1`` and ``eigh_lo``,
+the LAPACK gufuncs behind ``np.linalg.solve`` and ``np.linalg.eigh``, from
+numpy's private ``numpy.linalg._umath_linalg``: the same bits without the
+wrappers' per-call dispatch, which costs about as much as a small solve.
+A kernel that fails raises ``NumericalError``.
+
 The restarts are independent and, wherever numpy's OpenBLAS is found, run
 on one BLAS thread.  On Linux before Python 3.12 the caller runs its share
 and forks a child for each further usable core; elsewhere it runs them all.
@@ -30,6 +36,7 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo, solve1
 
 from .config import TOLS
 from .errors import InvariantViolation, NumericalError
@@ -108,9 +115,12 @@ def _simplex_lsq(q: np.ndarray, c: np.ndarray, p0: np.ndarray) -> np.ndarray:
     objective, so the iteration cap returns a point no worse than ``p0``.
 
     Each pivot solves the KKT system of its support, in sorted index
-    order, from scratch.  The system of the full index set, bordered by
-    the unit-sum row, is built once per call, so a pivot gathers its own
-    with one ``take`` per axis; ``2Q`` and ``2c`` are exact doublings.
+    order, from scratch, with one LU solve (``gesv``, through ``solve1``).
+    The system of the full index set, bordered by the unit-sum row, is
+    built once per call, so a pivot gathers its own with one ``take`` per
+    axis; ``2Q`` and ``2c`` are exact doublings.  A singular system comes
+    back as NaN, and a non-finite solution of any cause is replaced by the
+    least-squares one, the only fallback.
     """
     m = q.shape[0]
     q2, c2 = 2.0 * q, 2.0 * c
@@ -121,38 +131,38 @@ def _simplex_lsq(q: np.ndarray, c: np.ndarray, p0: np.ndarray) -> np.ndarray:
     p = p0.copy() if p0.any() else np.full(m, 1.0 / m)
     rows = np.append(p > _WEIGHT_FLOOR, True)  # the unit-sum row stays
     support = rows[:m]
-    for _ in range(4 * m + 16):
-        r = rows.nonzero()[0]
-        s, k = r[:-1], r.size - 1
-        kkt = kkt_all.take(r, 0).take(r, 1)
-        rhs = rhs_all.take(r)
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        if not np.isfinite(sol).all():
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        z, nu = sol[:k], sol[k]
-        if z.min() < -1e-12:
-            neg = (z < 0).nonzero()[0]
-            ps = p[s]
-            pn = ps[neg]
-            ratios = pn / (pn - z[neg])
-            first = ratios.argmin()
-            p[s] = ps + ratios[first] * (z - ps)
-            p[s[neg[first]]] = 0.0
-            support &= p > _WEIGHT_FLOOR
-            p[~support] = 0.0
-            continue
-        p[s] = np.maximum(z, 0.0)
-        excluded = (~support).nonzero()[0]
-        if excluded.size:
-            reduced = (q2 @ p - c2)[excluded] + nu
-            worst = reduced.argmin()
-            if reduced[worst] < -1e-9:
-                support[excluded[worst]] = True
+    # np.linalg.solve's errstate, less the callback that turns the invalid
+    # flag of a singular system into LinAlgError: solve1 returns it as NaN
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for _ in range(4 * m + 16):
+            r = rows.nonzero()[0]
+            s, k = r[:-1], r.size - 1
+            kkt = kkt_all.take(r, 0).take(r, 1)
+            rhs = rhs_all.take(r)
+            sol = solve1(kkt, rhs, signature="dd->d")
+            if not np.isfinite(sol).all():  # singular, or overflowed
+                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            z, nu = sol[:k], sol[k]
+            if z.min() < -1e-12:
+                neg = (z < 0).nonzero()[0]
+                ps = p[s]
+                pn = ps[neg]
+                ratios = pn / (pn - z[neg])
+                first = ratios.argmin()
+                p[s] = ps + ratios[first] * (z - ps)
+                p[s[neg[first]]] = 0.0
+                support &= p > _WEIGHT_FLOOR
+                p[~support] = 0.0
                 continue
-        return p
+            p[s] = np.maximum(z, 0.0)
+            excluded = (~support).nonzero()[0]
+            if excluded.size:
+                reduced = (q2 @ p - c2)[excluded] + nu
+                worst = reduced.argmin()
+                if reduced[worst] < -1e-9:
+                    support[excluded[worst]] = True
+                    continue
+            return p
     return p
 
 
@@ -174,11 +184,15 @@ def _top_vectors(m: np.ndarray) -> np.ndarray:
     ``h = (alpha - gamma)/2`` and ``r = hypot(h, |beta|)``, the vector
     ``(h + r, beta)`` for ``h >= 0``, else ``(conj(beta), r - h)``, so its
     real entry adds two nonnegative terms and never cancels; ``c*I``
-    (``r = 0``) gets ``e0``.  Other sizes go to ``eigh``, which also reads
-    only the lower triangle.
+    (``r = 0``) gets ``e0``.  Other sizes go to ``eigh_lo``, the heevd kernel
+    of ``np.linalg.eigh``, which also reads only the lower triangle; an entry
+    it cannot converge comes back as NaN and raises ``NumericalError``.
     """
     if m.shape[1] != 2:
-        return np.linalg.eigh(m)[1][:, :, -1].T
+        top = eigh_lo(m, signature="D->dD")[1][:, :, -1].T
+        if not np.isfinite(top).all():  # eigh_lo's NaN for a stack entry that did not converge
+            raise NumericalError("eigendecomposition did not converge")
+        return top
     h = (m[:, 0, 0].real - m[:, 1, 1].real) / 2
     beta = m[:, 1, 0]
     beta_abs = np.abs(beta)
@@ -202,9 +216,10 @@ def _top_products(r4: np.ndarray, a: np.ndarray, b: np.ndarray):
     da, db = r4.shape[:2]
     r_a = r4.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     r_b = r4.transpose(1, 3, 0, 2).reshape(db * db, da * da)
-    for _ in range(_REFINE_ROUNDS):
-        a = _top_vectors((_product_columns(b.conj(), b).T @ r_b).reshape(-1, da, da))
-        b = _top_vectors((_product_columns(a.conj(), a).T @ r_a).reshape(-1, db, db))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # as np.linalg.eigh's, less its callback
+        for _ in range(_REFINE_ROUNDS):
+            a = _top_vectors((_product_columns(b.conj(), b).T @ r_b).reshape(-1, da, da))
+            b = _top_vectors((_product_columns(a.conj(), a).T @ r_a).reshape(-1, db, db))
     return a, b
 
 
@@ -219,7 +234,8 @@ def _run_restart(rho: DensityMatrix, cfg: OracleConfig, restart: int) -> OracleR
     best few is what lets the atoms move: an old atom and its refined
     copy sit side by side and the weight solve picks between them.  The
     run stops once the Frank-Wolfe gap ``max_x <x|R|x> - Tr(R sigma)``
-    over the candidates falls below ``cfg.convergence_tol``.
+    over the candidates falls below ``cfg.convergence_tol``.  A kernel that
+    fails raises ``NumericalError`` naming the restart.
     """
     rng = np.random.default_rng([cfg.seed, restart])
     da, db = rho.dims
@@ -228,28 +244,31 @@ def _run_restart(rho: DensityMatrix, cfg: OracleConfig, restart: int) -> OracleR
     weights = np.empty(0)
     sigma = np.zeros_like(rho.mat)
     converged = False
-    for iters in range(1, cfg.max_iters + 1):
-        resid = rho.mat - sigma
-        cand_a, cand_b = _top_products(
-            resid.reshape(da, db, da, db),
-            np.concatenate([avecs, _haar_columns(rng, da, da * db)], axis=1),
-            np.concatenate([bvecs, _haar_columns(rng, db, da * db)], axis=1),
-        )
-        cands = _product_columns(cand_a, cand_b)
-        top = np.einsum("di,di->i", cands.conj(), resid @ cands).real.max()
-        if weights.size and top - np.vdot(sigma, resid).real < cfg.convergence_tol:
-            converged = True
-            break
-        avecs = np.concatenate([avecs, cand_a], axis=1)
-        bvecs = np.concatenate([bvecs, cand_b], axis=1)
-        prods = _product_columns(avecs, bvecs)
-        q = np.abs(avecs.conj().T @ avecs) ** 2 * np.abs(bvecs.conj().T @ bvecs) ** 2
-        c = np.einsum("di,di->i", prods.conj(), rho.mat @ prods).real
-        weights = _simplex_lsq(q, c, np.concatenate([weights, np.zeros(cands.shape[1])]))
-        keep = weights > _WEIGHT_FLOOR
-        weights, avecs, bvecs = weights[keep], avecs[:, keep], bvecs[:, keep]
-        prods = prods[:, keep]
-        sigma = (prods * weights) @ prods.conj().T
+    try:
+        for iters in range(1, cfg.max_iters + 1):
+            resid = rho.mat - sigma
+            cand_a, cand_b = _top_products(
+                resid.reshape(da, db, da, db),
+                np.concatenate([avecs, _haar_columns(rng, da, da * db)], axis=1),
+                np.concatenate([bvecs, _haar_columns(rng, db, da * db)], axis=1),
+            )
+            cands = _product_columns(cand_a, cand_b)
+            top = np.einsum("di,di->i", cands.conj(), resid @ cands).real.max()
+            if weights.size and top - np.vdot(sigma, resid).real < cfg.convergence_tol:
+                converged = True
+                break
+            avecs = np.concatenate([avecs, cand_a], axis=1)
+            bvecs = np.concatenate([bvecs, cand_b], axis=1)
+            prods = _product_columns(avecs, bvecs)
+            q = np.abs(avecs.conj().T @ avecs) ** 2 * np.abs(bvecs.conj().T @ bvecs) ** 2
+            c = np.einsum("di,di->i", prods.conj(), rho.mat @ prods).real
+            weights = _simplex_lsq(q, c, np.concatenate([weights, np.zeros(cands.shape[1])]))
+            keep = weights > _WEIGHT_FLOOR
+            weights, avecs, bvecs = weights[keep], avecs[:, keep], bvecs[:, keep]
+            prods = prods[:, keep]
+            sigma = (prods * weights) @ prods.conj().T
+    except (np.linalg.LinAlgError, NumericalError) as exc:  # from lstsq or _top_vectors
+        raise NumericalError(f"oracle restart {restart}: {exc}") from exc
     return OracleResult(dsep_upper=float(np.linalg.norm(rho.mat - sigma)),
                         sigma=DensityMatrix(dims=rho.dims, mat=sigma), iterations_used=iters,
                         converged=converged, weights=weights, vectors_a=avecs, vectors_b=bvecs)

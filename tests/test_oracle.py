@@ -97,20 +97,87 @@ def _assert_kkt_point(q, c, p0):
     assert (grad[~on] + nu).min(initial=0.0) >= -1e-9
 
 
-def test_simplex_lsq_returns_kkt_point(rng, monkeypatch):
+def _weight_problems(rng):
+    """(q, c, p0): zero and warm starts at three dims, then a repeated atom, whose KKT system is singular."""
     for dims in [(2, 2), (2, 3), (3, 3)]:
         m = 3 * dims[0] * dims[1]
         q, c = _gram_problem(rng, dims, m)
         warm = np.zeros(m)
         warm[: m // 2] = rng.random(m // 2)
-        _assert_kkt_point(q, c, np.zeros(m))
-        _assert_kkt_point(q, c, warm / warm.sum())
+        yield q, c, np.zeros(m)
+        yield q, c, warm / warm.sum()
+    q, c = _gram_problem(rng, (2, 2), 8, repeat=True)
+    yield q, c, np.zeros(8)  # the uniform start holds both copies
+
+
+def test_simplex_lsq_returns_kkt_point(rng, monkeypatch):
+    *regular, repeated = _weight_problems(rng)
+    for problem in regular:
+        _assert_kkt_point(*problem)
     lstsq_calls = []
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: lstsq_calls.append(1) or lstsq(*a, **k))
-    q, c = _gram_problem(rng, (2, 2), 8, repeat=True)
-    _assert_kkt_point(q, c, np.zeros(8))  # the uniform start holds both copies
+    _assert_kkt_point(*repeated)
     assert lstsq_calls
+
+
+def _simplex_lsq_reference(q, c, p0):
+    """``_simplex_lsq`` through the public ``np.linalg.solve``, whose ``LinAlgError`` marks a singular system."""
+    m = q.shape[0]
+    q2, c2 = 2.0 * q, 2.0 * c
+    kkt_all = np.ones((m + 1, m + 1))
+    kkt_all[:m, :m] = q2
+    kkt_all[m, m] = 0.0
+    rhs_all = np.append(c2, 1.0)
+    p = p0.copy() if p0.any() else np.full(m, 1.0 / m)
+    rows = np.append(p > oracle._WEIGHT_FLOOR, True)
+    support = rows[:m]
+    for _ in range(4 * m + 16):
+        r = rows.nonzero()[0]
+        s, k = r[:-1], r.size - 1
+        kkt = kkt_all.take(r, 0).take(r, 1)
+        rhs = rhs_all.take(r)
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        if not np.isfinite(sol).all():
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        z, nu = sol[:k], sol[k]
+        if z.min() < -1e-12:
+            neg = (z < 0).nonzero()[0]
+            ps = p[s]
+            pn = ps[neg]
+            ratios = pn / (pn - z[neg])
+            first = ratios.argmin()
+            p[s] = ps + ratios[first] * (z - ps)
+            p[s[neg[first]]] = 0.0
+            support &= p > oracle._WEIGHT_FLOOR
+            p[~support] = 0.0
+            continue
+        p[s] = np.maximum(z, 0.0)
+        excluded = (~support).nonzero()[0]
+        if excluded.size:
+            reduced = (q2 @ p - c2)[excluded] + nu
+            worst = reduced.argmin()
+            if reduced[worst] < -1e-9:
+                support[excluded[worst]] = True
+                continue
+        return p
+    return p
+
+
+def test_simplex_lsq_matches_the_public_solve_bytes(rng):
+    # numpy's private gesv kernel gives the bits of np.linalg.solve, the singular system included
+    for q, c, p0 in _weight_problems(rng):
+        assert _simplex_lsq(q, c, p0).tobytes() == _simplex_lsq_reference(q, c, p0).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_top_vectors_match_the_public_eigh_bytes(rng, d):
+    # numpy's private heevd kernel gives the bits of np.linalg.eigh
+    stack = np.array([random_hermitian(rng, d) for _ in range(5 * d * d)])
+    assert oracle._top_vectors(stack).tobytes() == np.linalg.eigh(stack)[1][:, :, -1].T.tobytes()
 
 
 def _top_products_reference(r4, a, b):
@@ -336,6 +403,51 @@ def test_oracle_reports_a_killed_restart(monkeypatch, tmp_path, capsys):
         dsep_upper(rho, OracleConfig(restarts=5, max_iters=5))
     monkeypatch.undo()
     _assert_same_bytes(dsep_upper(rho, FORKED), _serial_reference(rho, FORKED)[1])
+
+
+def _nan_eigh(m, signature):
+    """``eigh_lo``'s output for a stack whose every entry failed to converge."""
+    return np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan, dtype=complex)
+
+
+def _nan_solve(a, b, signature):
+    """``solve1``'s output for a singular system."""
+    return np.full(b.shape, np.nan)
+
+
+def _failed_lstsq(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+@pytest.mark.parametrize("kernels", [
+    {"eigh_lo": _nan_eigh},  # the eigenvectors' heevd
+    {"solve1": _nan_solve, "lstsq": _failed_lstsq},  # the weight solve's gesv, then its fallback
+], ids=["eigh", "lstsq"])
+def test_oracle_kernel_failure_is_a_numerical_error(monkeypatch, tmp_path, capsys, kernels):
+    rho = fixture("bell(3)")  # 3x3, so the eigenvectors come from eigh_lo
+    save_state(rho, tmp_path / "bell3.json")
+    caller = os.getpid()
+
+    def failing_in(fails):
+        """Each kernel, made to fail in the processes whose pid ``fails`` accepts."""
+        for name, fake in kernels.items():
+            owner = np.linalg if name == "lstsq" else oracle
+            real = getattr(owner, name)
+            patched = lambda *a, real=real, fake=fake, **k: (fake if fails(os.getpid()) else real)(*a, **k)
+            monkeypatch.setattr(owner, name, patched)
+
+    failing_in(lambda pid: True)
+    with pytest.raises(NumericalError, match=r"^oracle restart 0: "):
+        dsep_upper(rho, OracleConfig(restarts=1, max_iters=5))
+    assert main(["oracle", "--state", str(tmp_path / "bell3.json"), "--restarts", "1", "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("entcert: numerical failure: oracle restart 0: ")
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if oracle._fork_workers(2) == 0:
+        return  # UNFORKED: the caller's restarts were checked above
+    failing_in(lambda pid: pid != caller)  # only the forked child fails, in restart 1
+    with pytest.raises(NumericalError, match=r"^oracle restart 1: "):
+        dsep_upper(rho, OracleConfig(restarts=2, max_iters=5))
 
 
 @forks
