@@ -6,7 +6,6 @@ entanglement of formation and geometric entanglement, with an
 independent brute-force oracle for bracketing every certificate.
 """
 
-from .config import TOLS, Tolerances
 from .errors import DimensionMismatch, InvariantViolation, NumericalError
 from .generators import (
     GeneratorSet,

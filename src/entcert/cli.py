@@ -1,12 +1,12 @@
 """Command-line front end: state files in, JSON certificates out.
-
 Exit codes: 0 on success, 1 on invalid input (parse or invariant failure,
 an ``--out`` path that cannot be written, or a size too large to
 allocate; the message names the violated invariant), 2 on numerical
 failure (eigensolver error or oracle non-convergence).  All results go
-to stdout as a single JSON document written by ``json.dumps``; ``--out``
-first writes the same text to a file.  Informational chatter goes to
-stderr and is silenced by ``--quiet``.
+to stdout as a single JSON document written by ``json.dumps``, which
+refuses NaN and Infinity; ``--out`` first writes the same text to a
+file.  Informational chatter goes to stderr and is silenced by
+``--quiet``.
 
 A caller that runs ``main`` many times in one process reuses the basis
 witness of each ``(d, L)`` that ``bound --mub`` and ``mub-witness`` build,
@@ -61,7 +61,7 @@ def _info(args, text: str) -> None:
 
 
 def _emit(args, doc: dict, out: str | None = None) -> None:
-    text = json.dumps(doc) + "\n"
+    text = json.dumps(doc, allow_nan=False) + "\n"
     if out:
         try:
             Path(out).write_text(text)
@@ -156,7 +156,8 @@ def _collector_paused():
 
 @functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="entcert", description=__doc__)
+    # the contract only: the paragraphs past it are notes for callers of ``main``
+    parser = _Parser(prog="entcert", description=__doc__.split("\n\n")[0])
     common = _Parser(add_help=False)
     common.add_argument("--quiet", action="store_true", help="print only the JSON result")
     sub = parser.add_subparsers(dest="subcommand", required=True)

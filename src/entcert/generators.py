@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import Checked, as_array, as_integer, kron, read_only, require, require_hermitian
+from .linalg import UNIT_NORM_TOL, Checked, as_array, as_integer, kron, read_only, require, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class GeneratorSet(Checked):
         flat = gens.reshape(n, -1)
         gram = flat.conj() @ flat.T  # Tr(g_k^dag g_l) = Tr(g_k g_l) for Hermitian g_k
         defect = np.abs(gram - 2 * np.eye(n)).max()
-        require(defect, TOLS.unit_norm, "orthogonality: max |Tr(g_k g_l) - 2 delta_kl|")
+        require(defect, UNIT_NORM_TOL, "orthogonality: max |Tr(g_k g_l) - 2 delta_kl|")
         object.__setattr__(self, "gens", read_only(gens))
 
     @property

@@ -65,7 +65,7 @@ def read_matrix_payload(path) -> tuple[object, np.ndarray, str | None]:
 
 
 def _save(obj: DensityMatrix | Witness, path) -> None:
-    Path(path).write_text(json.dumps(payload(obj)) + "\n")
+    Path(path).write_text(json.dumps(payload(obj), allow_nan=False) + "\n")
 
 
 def save_state(rho: DensityMatrix, path) -> None:

@@ -6,8 +6,11 @@ and SVD, plus the one checking path: ``as_integer``, ``as_real`` and
 ``as_array`` coerce integers, real scalars and arrays of every rank (file
 matrices too), ``bipartite_array`` is the one comparison of an array's
 shape with ``dims``, ``require`` is the tolerance check of every
-invariant but one ratio (see ``config``), Hermiticity has its own check,
-and ``Checked`` rebuilds copies and unpickled objects of the frozen types
+invariant but one ratio, beside the four tolerances checks share
+(``HERMITICITY_TOL``, ``TRACE_TOL``, ``PSD_TOL``, ``UNIT_NORM_TOL``; any
+other check keeps its literal), Hermiticity has its own check,
+``hermitian_part`` symmetrizes a matrix before it is factorized, and
+``Checked`` rebuilds copies and unpickled objects of the frozen types
 through their constructors.
 Matrices are ``complex128`` arrays; LAPACK does the eigen/SVD work, and
 the contract here is the residual bound, not the algorithm.
@@ -22,8 +25,12 @@ from itertools import chain
 
 import numpy as np
 
-from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation, NumericalError
+
+HERMITICITY_TOL = 1e-10  # max |A - A^dag| entry admitted as Hermitian
+TRACE_TOL = 1e-10        # |Tr(rho) - 1| admitted for states
+PSD_TOL = 1e-10          # eigenvalues >= -PSD_TOL count as positive
+UNIT_NORM_TOL = 1e-10    # | ||v|| - 1 | of state vectors, Gram defects of bases and generators
 
 
 def require(defect: float, tol: float, what: str) -> None:
@@ -33,9 +40,19 @@ def require(defect: float, tol: float, what: str) -> None:
 
 
 def require_hermitian(mats: np.ndarray, what: str) -> None:
-    """Refuse a matrix, or a stack of them, further than ``TOLS.hermiticity`` from Hermitian."""
+    """Refuse a matrix, or a stack of them, further than ``HERMITICITY_TOL`` from Hermitian."""
     defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
-    require(defect, TOLS.hermiticity, f"hermiticity: {what} has max |A - A^dag|")
+    require(defect, HERMITICITY_TOL, f"hermiticity: {what} has max |A - A^dag|")
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag)/2 of a matrix or a stack of them; no entry overflows.
+
+    Halving is exact above the subnormal range, so there this is
+    bit-identical to ``(a + a^dag) / 2`` wherever that does not overflow.
+    """
+    h = a * 0.5
+    return h + h.conj().swapaxes(-1, -2)
 
 
 class Checked:
@@ -189,14 +206,14 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v``
     such that ``a = v @ diag(w) @ v^dag`` up to the residual tolerance.
-    The input is symmetrized before factorization; inputs further than
-    ``TOLS.hermiticity`` from Hermitian are rejected.
+    The input is symmetrized by ``hermitian_part`` before factorization;
+    inputs further than ``HERMITICITY_TOL`` from Hermitian are rejected.
     """
     a = as_array(a, 2, "matrix")
     _require_square(a)
     require_hermitian(a, "matrix")
     try:
-        w, v = np.linalg.eigh((a + a.conj().T) / 2)
+        w, v = np.linalg.eigh(hermitian_part(a))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
     return w, v

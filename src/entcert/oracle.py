@@ -38,10 +38,9 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, solve1
 
-from .config import TOLS
 from .errors import InvariantViolation, NumericalError
 from .io import complex_pairs, payload
-from .linalg import as_integer, as_real, hermitian_eig, partial_transpose
+from .linalg import PSD_TOL, as_integer, as_real, hermitian_eig, partial_transpose
 from .states import DensityMatrix
 
 _WEIGHT_FLOOR = 1e-14
@@ -52,7 +51,7 @@ def ppt_check(rho: DensityMatrix) -> tuple[bool, float]:
     """Whether the partial transpose is PSD, plus its minimum eigenvalue."""
     pt = partial_transpose(rho.mat, rho.dims, on="B")
     lo = float(hermitian_eig(pt)[0][0])
-    return lo >= -TOLS.psd, lo
+    return lo >= -PSD_TOL, lo
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOLS
-from .linalg import Checked, as_array, as_integer, bipartite_array, bipartite_operator, read_only, require, svd
+from .linalg import (
+    PSD_TOL, TRACE_TOL, UNIT_NORM_TOL, Checked, as_array, as_integer, bipartite_array, bipartite_operator,
+    hermitian_part, read_only, require, svd
+)
 
 
 @dataclass(frozen=True)
@@ -29,9 +31,9 @@ class DensityMatrix(Checked):
         dims, mat = bipartite_operator(self.dims, self.mat, "matrix")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
-        require(abs(np.trace(self.mat) - 1.0), TOLS.trace, "trace: |Tr(rho) - 1|")
-        lo = np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)[0]
-        require(-lo, TOLS.psd, "positivity: minus the minimum eigenvalue")
+        require(abs(np.trace(self.mat) - 1.0), TRACE_TOL, "trace: |Tr(rho) - 1|")
+        lo = np.linalg.eigvalsh(hermitian_part(self.mat))[0]
+        require(-lo, PSD_TOL, "positivity: minus the minimum eigenvalue")
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class PureState(Checked):
     def __post_init__(self):
         dims, vec = bipartite_array(self.vec, self.dims, 1, "vector")
         object.__setattr__(self, "dims", dims)
-        require(abs(np.linalg.norm(vec) - 1.0), TOLS.unit_norm, "norm: | ||psi|| - 1 |")
+        require(abs(np.linalg.norm(vec) - 1.0), UNIT_NORM_TOL, "norm: | ||psi|| - 1 |")
         object.__setattr__(self, "vec", read_only(vec))
 
     def projector(self) -> DensityMatrix:
@@ -60,7 +62,7 @@ class SchmidtVector(Checked):
     def __post_init__(self):
         c = as_array(self.coeffs, 1, "coefficients", float)
         require(-c.min(), 1e-15, "positivity: minus the smallest coefficient")
-        require(abs(c.sum() - 1.0), TOLS.unit_norm, "normalization: |sum of coefficients - 1|")
+        require(abs(c.sum() - 1.0), UNIT_NORM_TOL, "normalization: |sum of coefficients - 1|")
         require(np.max(np.diff(c), initial=0.0), 1e-12, "order: largest rise between coefficients")
         object.__setattr__(self, "coeffs", read_only(np.maximum(c, 0.0)))
 

@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import TOLS
 from .errors import DimensionMismatch, InvariantViolation
 from .generators import GeneratorSet, swap_operator
 from .linalg import (
-    Checked, as_array, as_integer, as_real, bipartite_operator, frobenius_inner, partial_trace, read_only, require
+    UNIT_NORM_TOL, Checked, as_array, as_integer, as_real, bipartite_operator, frobenius_inner, partial_trace,
+    read_only, require
 )
 from .measures import bounds_from_dsep
 from .states import DensityMatrix
@@ -62,7 +62,8 @@ class BoundCertificate:
 
     The measure bounds are derived from ``dsep_lower`` by ``bounds_from_dsep``,
     which refuses a distance outside [0, 1): no state is that far from the
-    separable set, so such a value means ``W`` was not a witness.
+    separable set, so such a value means ``W`` was not a witness.  The
+    witness value and the radius must be finite floats.
     """
 
     witness_value: float
@@ -74,6 +75,8 @@ class BoundCertificate:
     geometric_lower: float = field(init=False)  # heuristic, see ``bounds_from_dsep``
 
     def __post_init__(self):
+        object.__setattr__(self, "witness_value", as_real(self.witness_value, "witness value"))
+        object.__setattr__(self, "b_used", as_real(self.b_used, "radius"))
         bounds = bounds_from_dsep(self.dsep_lower)
         for name in ("concurrence_lower", "eof_lower", "geometric_lower"):
             object.__setattr__(self, name, getattr(bounds, name))
@@ -83,17 +86,28 @@ class BoundCertificate:
 
 
 def normalize_witness(w: Witness) -> WitnessNormalization:
-    """Split ``W = a*I + b*W1`` with Tr(W1) = 0 and ||W1||_F = 1."""
+    """Split ``W = a*I + b*W1`` with Tr(W1) = 0 and ||W1||_F = 1.
+
+    The sums run on ``W * 2**-e``, whose largest real or imaginary part
+    lies in [1/2, 1), so they cannot overflow; scaling ``a`` and ``b`` back
+    by ``2**e`` is exact, and a radius beyond the float range is refused.
+    """
     d = w.dims[0] * w.dims[1]
-    tr = np.trace(w.mat).real
-    a = tr / d
-    norm_sq = float(np.vdot(w.mat, w.mat).real)
+    parts = w.mat.view(np.float64)
+    e = math.frexp(np.abs(parts).max())[1]
+    mat = np.ldexp(parts, -e).view(np.complex128)
+    tr = np.trace(mat).real
+    norm_sq = float(np.vdot(mat, mat).real)
     b_sq = norm_sq - tr * tr / d
     if b_sq <= 1e-13 * norm_sq:
         raise InvariantViolation(
             "direction: witness is proportional to the identity (b = 0)"
         )
-    return WitnessNormalization(a=a, b=float(np.sqrt(b_sq)))
+    b = math.sqrt(b_sq)
+    try:
+        return WitnessNormalization(a=math.ldexp(tr / d, e), b=math.ldexp(b, e))
+    except OverflowError:
+        raise InvariantViolation(f"radius: the witness radius {b:.6g} * 2**{e} exceeds the float range") from None
 
 
 def generic_bound(
@@ -147,7 +161,7 @@ class MubFamily(Checked):
         gram = (flat.conj().T @ flat).reshape(count, d, count, d).transpose(0, 2, 1, 3)
         same = np.eye(count, dtype=bool)
         defect = np.abs(gram[same] - np.eye(d)).max()
-        require(defect, TOLS.unit_norm, "orthonormality: max |B_a^dag B_a - I|")
+        require(defect, UNIT_NORM_TOL, "orthonormality: max |B_a^dag B_a - I|")
         defect = np.max(np.abs(np.abs(gram[~same]) - 1 / np.sqrt(d)), initial=0.0)
         require(defect, 1e-9, "unbiasedness: max ||<a_k|b_l>| - 1/sqrt(d)| over a != b")
         object.__setattr__(self, "bases", read_only(stack))
@@ -194,10 +208,10 @@ class RotationSet(Checked):
         if stack.shape[2] != d:
             raise InvariantViolation(f"shape: rotations must be square, got {stack.shape[1:]}")
         defect = np.abs(stack.swapaxes(1, 2) @ stack - np.eye(d)).max()
-        require(defect, TOLS.unit_norm, "orthogonality: max |O^T O - I|")
+        require(defect, UNIT_NORM_TOL, "orthogonality: max |O^T O - I|")
         axis = np.full(d, 1 / np.sqrt(d))
         defect = np.abs(stack @ axis - axis).max()
-        require(defect, TOLS.unit_norm, "axis: max |O u - u| for the uniform axis u")
+        require(defect, UNIT_NORM_TOL, "axis: max |O u - u| for the uniform axis u")
         object.__setattr__(self, "mats", read_only(stack))
 
     @classmethod

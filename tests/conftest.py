@@ -80,3 +80,26 @@ def random_product_batch(rng, da, db, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def symmetric_4x4(diag, off=()):
+    """The real 4x4 matrix with ``diag`` on its diagonal and each ``(i, j, x)`` of ``off`` at (i, j) and (j, i)."""
+    mat = np.diag(np.asarray(diag, dtype=float)).astype(complex)
+    for i, j, x in off:
+        mat[i, j] = mat[j, i] = x
+    return mat
+
+
+# Hermitian and unit-trace, with finite entries, but (A + A^dag)/2 overflows
+HUGE_COHERENCE_STATE = symmetric_4x4([0.25] * 4, [(0, 1, 1.7e308)])
+
+# witnesses on 2x2 whose textbook radius overflows or underflows: each with the invariant
+# that refuses it on bell(2), or with None and its radius where the certificate is finite
+EXTREME_WITNESSES = {
+    # the identity to 1 part in 1e160
+    "near-identity": (symmetric_4x4([1e160] * 4, [(0, 1, 1.0)]), "direction", None),
+    "radius-1e200": (symmetric_4x4([1e200, -1e200, 3.0, 1.0]), None, 2**0.5 * 1e200),
+    # sqrt(8/3) * 1.7e308 lies beyond the float range
+    "radius-overflows": (symmetric_4x4([1.7e308, 0.0, 0.0, 1.7e308], [(0, 3, 1.7e308)]), "radius", None),
+    "subnormal": (symmetric_4x4([1e-320, -1e-320, -1e-320, 1e-320]), None, 2e-320),
+}

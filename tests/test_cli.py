@@ -26,8 +26,9 @@ from entcert import (
 )
 from entcert import cli
 from entcert.cli import _build_parser, main
+from entcert.io import complex_pairs
 
-from conftest import CERTIFICATE_KEYS, random_density
+from conftest import CERTIFICATE_KEYS, EXTREME_WITNESSES, HUGE_COHERENCE_STATE, random_density
 
 
 def run_cli(*args):
@@ -157,6 +158,32 @@ def test_bound_refuses_a_witness_file_that_is_no_witness(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "entcert: error: range: distance bound must lie in [0, 1), got 5.5\n"
+
+
+def test_bound_refuses_a_huge_coherence_by_name(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": complex_pairs(HUGE_COHERENCE_STATE)}))
+    assert main(["bound", "--state", str(path), "--spin"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("entcert: error: positivity: ")
+
+
+@pytest.mark.parametrize("case", EXTREME_WITNESSES)
+def test_bound_on_an_extreme_witness_file_prints_json_or_names_the_invariant(tmp_path, capsys, case):
+    mat, invariant, _ = EXTREME_WITNESSES[case]
+    state, witness = tmp_path / "bell2.json", tmp_path / "w.json"
+    save_state(fixture("bell(2)"), state)
+    witness.write_text(json.dumps({"dims": [2, 2], "kind": "witness", "matrix": complex_pairs(mat)}))
+    code = main(["bound", "--state", str(state), "--witness-file", str(witness), "--quiet"])
+    out = capsys.readouterr()
+    if invariant:
+        assert (code, out.out) == (1, "")
+        assert out.err.startswith(f"entcert: error: {invariant}: ")
+        return
+    assert (code, out.err) == (0, "")
+    cert = json.loads(out.out, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+    assert list(cert) == CERTIFICATE_KEYS and cert["certified"] is False
 
 
 def test_mub_witness_output(tmp_path):
@@ -347,6 +374,15 @@ def test_bad_usage_exits_one():
     assert proc.returncode == 1
     proc = run_cli("frobnicate")
     assert proc.returncode == 1
+
+
+def test_help_shows_the_contract_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps the description
+    assert "Exit codes: 0 on success" in text
+    assert "garbage collector" not in text
 
 
 def test_fixture_round_trip_via_files(tmp_path, paper_files):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entcert import (
+    BoundCertificate,
     DensityMatrix,
     DimensionMismatch,
     GeneratorSet,
@@ -35,9 +36,9 @@ from entcert import (
     verify_generator_identities,
 )
 from entcert.generators import swap_operator
-from entcert.linalg import as_array, bipartite_dims
+from entcert.linalg import as_array, bipartite_dims, hermitian_part
 
-from conftest import haar_unitary, random_hermitian
+from conftest import HUGE_COHERENCE_STATE, haar_unitary, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -200,6 +201,20 @@ def test_hermitian_eig_reconstruction(rng):
         w, v = hermitian_eig(a)
         assert np.abs(v @ np.diag(w) @ v.conj().T - a).max() < 1e-9 * frobenius_norm(a)
         assert np.abs(v.conj().T @ v - np.eye(7)).max() < 1e-9
+
+
+def test_hermitian_part_is_the_textbook_form_bit_for_bit(rng):
+    for shape in [(1, 1), (2, 2), (7, 7), (49, 49), (5, 3, 3)]:
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert hermitian_part(a).tobytes() == ((a + a.conj().swapaxes(-1, -2)) / 2).tobytes()
+
+
+def test_hermitian_eig_of_a_huge_coherence_does_not_overflow():
+    # (A + A^dag)/2 would overflow to inf, and LAPACK would not converge
+    assert hermitian_part(HUGE_COHERENCE_STATE).tobytes() == HUGE_COHERENCE_STATE.tobytes()
+    w, v = hermitian_eig(HUGE_COHERENCE_STATE)
+    assert w == pytest.approx([-1.7e308, 0.25, 0.25, 1.7e308], rel=1e-12)
+    assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
 
 
 def test_svd_examples():
@@ -376,6 +391,12 @@ REAL_ARGUMENTS = {
     "OracleConfig.convergence_tol": ("convergence_tol", 1e-8, lambda v: OracleConfig(convergence_tol=v)),
     "generic_bound.b_override": ("radius", 10.0, lambda v: generic_bound(PAPER_WITNESS, PAPER_STATE, b_override=v)),
     "bounds_from_dsep": ("range", 0.5, bounds_from_dsep),
+    "BoundCertificate.witness_value": (
+        "witness value", -0.1, lambda v: BoundCertificate(witness_value=v, b_used=1.0, dsep_lower=0.1, certified=True)
+    ),
+    "BoundCertificate.b_used": (
+        "radius", 1.0, lambda v: BoundCertificate(witness_value=-0.1, b_used=v, dsep_lower=0.1, certified=True)
+    ),
 }
 
 # each stands in for the valid value; None is refused everywhere but as b_override, where it selects the radius

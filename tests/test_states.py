@@ -28,7 +28,7 @@ from entcert import (
     singlet_state,
 )
 
-from conftest import haar_unitary, haar_vector, random_density
+from conftest import HUGE_COHERENCE_STATE, haar_unitary, haar_vector, random_density
 
 
 def test_density_matrix_accepts_valid(rng):
@@ -52,6 +52,12 @@ def test_density_matrix_rejects_negative():
     mat = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
     with pytest.raises(InvariantViolation, match="positivity"):
         DensityMatrix(dims=(2, 2), mat=mat)
+
+
+def test_density_matrix_rejects_a_huge_coherence_by_name():
+    # Hermitian with unit trace; its eigenvalues are 0.25 and 0.25 +- 1.7e308
+    with pytest.raises(InvariantViolation, match=r"^positivity: minus the minimum eigenvalue = 1\.700e\+308 "):
+        DensityMatrix(dims=(2, 2), mat=HUGE_COHERENCE_STATE)
 
 
 def test_density_matrix_rejects_wrong_shape():

@@ -24,7 +24,7 @@ from entcert import (
     spin_witness,
 )
 
-from conftest import CERTIFICATE_KEYS, random_density, random_product_batch
+from conftest import CERTIFICATE_KEYS, EXTREME_WITNESSES, random_density, random_product_batch
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -69,6 +69,28 @@ def test_normalized_direction_properties(rng):
     w1 = (w.mat - norm.a * np.eye(9)) / norm.b
     assert abs(np.trace(w1)) < 1e-10
     assert np.linalg.norm(w1) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e12])
+def test_normalize_witness_is_the_textbook_split_bit_for_bit(rng, scale):
+    mat = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    mat = (mat + mat.conj().T) * scale
+    tr = np.trace(mat).real
+    norm = normalize_witness(Witness(dims=(3, 3), mat=mat))
+    assert (norm.a, norm.b) == (tr / 9, np.sqrt(np.vdot(mat, mat).real - tr * tr / 9))
+
+
+@pytest.mark.parametrize("case", EXTREME_WITNESSES)
+def test_extreme_witnesses_give_a_finite_certificate_or_an_invariant(case):
+    mat, invariant, radius = EXTREME_WITNESSES[case]
+    w = Witness(dims=(2, 2), mat=mat)
+    if invariant:
+        with pytest.raises(InvariantViolation, match=f"^{invariant}: "):
+            generic_bound(w, fixture("bell(2)"))
+        return
+    assert normalize_witness(w).b == pytest.approx(radius, rel=1e-15)
+    cert = generic_bound(w, fixture("bell(2)"))
+    assert np.isfinite([cert.witness_value, cert.b_used]).all() and not cert.certified
 
 
 def test_generic_bound_paper_pair():
