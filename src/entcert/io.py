@@ -10,9 +10,11 @@ Hermiticity only; states must additionally have unit trace and be
 positive semidefinite within tolerance.  Past the ``[re, im]`` axis the
 matrix is checked as every API array is, under the same invariant names.
 ``payload`` is the only writer of the schema: the save functions, the CLI
-and the oracle's ``sigma`` all go through it.  Payloads are written with ``json.dumps``, whose shortest
-round-trip float repr keeps every value, the sign of zero included,
-bit-exact through a save and load.
+and the oracle's ``sigma`` all go through it.  Payloads are written with
+``json.dumps``, whose shortest round-trip float repr keeps every value, the
+sign of zero included, bit-exact through a save and load.  The paper's
+witness fixture is not stored: the MUB constructors build it, then it is
+rounded to its exact entries n/3.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import InvariantViolation
 from .linalg import as_array
 from .states import DensityMatrix, bell_state, singlet_state
-from .witnesses import Witness
+from .witnesses import RotationSet, Witness, mub_family, mub_witness
 
 
 def complex_pairs(arr: np.ndarray) -> list:
@@ -111,21 +113,6 @@ _PPT_STATE_NUM = [
 ]
 _PPT_STATE_DEN = 15
 
-# Witness from four mutually unbiased bases that detects the state above,
-# exact entries n/3.
-_MUB_WITNESS_NUM = [
-    [4, 0, 0, 0, -1, 0, 0, 0, -1],
-    [0, 1, 0, 0, 0, 2, 2, 0, 0],
-    [0, 0, 1, 2, 0, 0, 0, 2, 0],
-    [0, 0, 2, 1, 0, 0, 0, 2, 0],
-    [-1, 0, 0, 0, 4, 0, 0, 0, -1],
-    [0, 2, 0, 0, 0, 1, 2, 0, 0],
-    [0, 2, 0, 0, 0, 2, 1, 0, 0],
-    [0, 0, 2, 2, 0, 0, 0, 1, 0],
-    [-1, 0, 0, 0, -1, 0, 0, 0, 4],
-]
-_MUB_WITNESS_DEN = 3
-
 FIXTURE_NAMES = ("paper_ppt_state", "paper_mub_witness", "bell(d)", "singlet")
 
 
@@ -134,17 +121,20 @@ def fixture(name: str) -> DensityMatrix | Witness:
 
     ``paper_ppt_state`` and ``paper_mub_witness`` carry exact rational
     entries; ``bell(d)`` and ``singlet`` are the standard maximally
-    entangled projectors.  The witness is the one
-    ``mub_witness(mub_family(3, 4), RotationSet([R, R, I, I]))`` builds,
-    with ``R = (2/3) ones((3, 3)) - I`` the reflection through the uniform
-    axis, stored as its exact n/3 table.
+    entangled projectors.  The witness is not stored: it is built by
+    ``mub_witness(mub_family(3, 4), RotationSet([R, R, I, I]))``, with
+    ``R = (2/3) ones((3, 3)) - I`` the reflection through the uniform
+    axis, and then rounded to its exact entries n/3.
     """
     if name == "paper_ppt_state":
         mat = np.array(_PPT_STATE_NUM, dtype=np.complex128) / _PPT_STATE_DEN
         return DensityMatrix(dims=(3, 3), mat=mat)
     if name == "paper_mub_witness":
-        mat = np.array(_MUB_WITNESS_NUM, dtype=np.complex128) / _MUB_WITNESS_DEN
-        return Witness(dims=(3, 3), mat=mat)
+        eye = np.eye(3)
+        reflection = 2 / 3 - eye
+        w = mub_witness(mub_family(3, 4), RotationSet([reflection, reflection, eye, eye]))
+        # the constructors land within 5e-16 of n/3; + 0.0 turns the -0.0 that rounding leaves into 0.0
+        return Witness(dims=(3, 3), mat=np.round(3 * w.mat.real) / 3 + 0.0)
     if name == "singlet":
         return singlet_state().projector()
     m = re.fullmatch(r"bell\((\d+)\)", name)

@@ -1,8 +1,8 @@
 """Dense complex-matrix kernel.
 
-Hilbert-Schmidt inner products and norms, Kronecker products, partial
-trace/transpose over a bipartite splitting, Hermitian eigendecomposition
-and SVD, plus the one checking path: ``as_integer``, ``as_real`` and
+Hilbert-Schmidt inner products and norms, Kronecker products (columnwise
+too, ``product_columns``), partial trace/transpose over a bipartite
+splitting, Hermitian eigendecomposition and SVD, plus the one checking path: ``as_integer``, ``as_real`` and
 ``as_array`` coerce integers, real scalars and arrays of every rank (file
 matrices too), ``bipartite_array`` is the one comparison of an array's
 shape with ``dims``, ``require`` is the tolerance check of every
@@ -41,7 +41,10 @@ def require(defect: float, tol: float, what: str) -> None:
 
 def require_hermitian(mats: np.ndarray, what: str) -> None:
     """Refuse a matrix, or a stack of them, further than ``HERMITICITY_TOL`` from Hermitian."""
-    defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
+    # quartered, so neither a difference nor the modulus of a complex one overflows; scaled back as a Python
+    # float, which reads an overflow as inf
+    q = mats * 0.25
+    defect = 4 * float(np.abs(q - q.conj().swapaxes(-1, -2)).max())
     require(defect, HERMITICITY_TOL, f"hermiticity: {what} has max |A - A^dag|")
 
 
@@ -175,6 +178,11 @@ def frobenius_norm(a) -> float:
 def kron(a, b) -> np.ndarray:
     """Kronecker product A (x) B."""
     return np.kron(as_array(a, 2, "matrix"), as_array(b, 2, "matrix"))
+
+
+def product_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columnwise Kronecker products: column k is ``a[:, k] (x) b[:, k]``."""
+    return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
 
 
 def partial_trace(rho, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import as_integer, as_real, bipartite_array
+from .linalg import as_integer, as_real, bipartite_array, product_columns
 from .states import DensityMatrix, PureState, SchmidtVector, schmidt
 
 
@@ -64,14 +64,8 @@ def closest_separable_pure(psi: PureState) -> DensityMatrix:
     strictly closer separable states exist.
     """
     lam, basis_a, basis_b = schmidt(psi)
-    d = psi.dims[0] * psi.dims[1]
-    sigma = np.zeros((d, d), dtype=np.complex128)
-    for k, weight in enumerate(lam.coeffs):
-        if weight == 0.0:
-            continue
-        prod = np.kron(basis_a[:, k], basis_b[:, k])
-        sigma += weight * np.outer(prod, prod.conj())
-    return DensityMatrix(dims=psi.dims, mat=sigma)
+    prods = product_columns(basis_a[:, :lam.coeffs.size], basis_b[:, :lam.coeffs.size])
+    return DensityMatrix(dims=psi.dims, mat=(prods * lam.coeffs) @ prods.conj().T)
 
 
 def diagonal_twirl_matrix(mat: np.ndarray, d: int) -> np.ndarray:

@@ -40,7 +40,7 @@ from numpy.linalg._umath_linalg import eigh_lo, solve1
 
 from .errors import InvariantViolation, NumericalError
 from .io import complex_pairs, payload
-from .linalg import PSD_TOL, as_integer, as_real, hermitian_eig, partial_transpose
+from .linalg import PSD_TOL, as_integer, as_real, hermitian_eig, partial_transpose, product_columns
 from .states import DensityMatrix
 
 _WEIGHT_FLOOR = 1e-14
@@ -170,12 +170,6 @@ def _haar_columns(rng: np.random.Generator, d: int, m: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=0, keepdims=True)
 
 
-def _product_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    da, m = a.shape
-    db = b.shape[0]
-    return (a[:, None, :] * b[None, :, :]).reshape(da * db, m)
-
-
 def _top_vectors(m: np.ndarray) -> np.ndarray:
     """Unit top eigenvectors, one column per matrix, of a Hermitian stack read from its lower triangles.
 
@@ -217,8 +211,8 @@ def _top_products(r4: np.ndarray, a: np.ndarray, b: np.ndarray):
     r_b = r4.transpose(1, 3, 0, 2).reshape(db * db, da * da)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # as np.linalg.eigh's, less its callback
         for _ in range(_REFINE_ROUNDS):
-            a = _top_vectors((_product_columns(b.conj(), b).T @ r_b).reshape(-1, da, da))
-            b = _top_vectors((_product_columns(a.conj(), a).T @ r_a).reshape(-1, db, db))
+            a = _top_vectors((product_columns(b.conj(), b).T @ r_b).reshape(-1, da, da))
+            b = _top_vectors((product_columns(a.conj(), a).T @ r_a).reshape(-1, db, db))
     return a, b
 
 
@@ -251,14 +245,14 @@ def _run_restart(rho: DensityMatrix, cfg: OracleConfig, restart: int) -> OracleR
                 np.concatenate([avecs, _haar_columns(rng, da, da * db)], axis=1),
                 np.concatenate([bvecs, _haar_columns(rng, db, da * db)], axis=1),
             )
-            cands = _product_columns(cand_a, cand_b)
+            cands = product_columns(cand_a, cand_b)
             top = np.einsum("di,di->i", cands.conj(), resid @ cands).real.max()
             if weights.size and top - np.vdot(sigma, resid).real < cfg.convergence_tol:
                 converged = True
                 break
             avecs = np.concatenate([avecs, cand_a], axis=1)
             bvecs = np.concatenate([bvecs, cand_b], axis=1)
-            prods = _product_columns(avecs, bvecs)
+            prods = product_columns(avecs, bvecs)
             q = np.abs(avecs.conj().T @ avecs) ** 2 * np.abs(bvecs.conj().T @ bvecs) ** 2
             c = np.einsum("di,di->i", prods.conj(), rho.mat @ prods).real
             weights = _simplex_lsq(q, c, np.concatenate([weights, np.zeros(cands.shape[1])]))

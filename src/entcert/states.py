@@ -31,7 +31,10 @@ class DensityMatrix(Checked):
         dims, mat = bipartite_operator(self.dims, self.mat, "matrix")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
-        require(abs(np.trace(self.mat) - 1.0), TRACE_TOL, "trace: |Tr(rho) - 1|")
+        # summed at scale 2**-k <= 1/n, exactly and without overflow; a Python float reads a defect out of range as inf
+        k = (len(self.mat) - 1).bit_length()
+        scaled = complex((self.mat.diagonal() * 2.0**-k).sum())
+        require(abs(scaled - 2.0**-k) * 2**k, TRACE_TOL, "trace: |Tr(rho) - 1|")
         lo = np.linalg.eigvalsh(hermitian_part(self.mat))[0]
         require(-lo, PSD_TOL, "positivity: minus the minimum eigenvalue")
 

@@ -90,8 +90,45 @@ def symmetric_4x4(diag, off=()):
     return mat
 
 
+# the paper's four-basis witness on 3x3 as the numerators n of its exact entries n/3: a reference
+# independent of the constructors that build fixture("paper_mub_witness")
+PAPER_MUB_WITNESS_THIRDS = np.array([
+    [4, 0, 0, 0, -1, 0, 0, 0, -1],
+    [0, 1, 0, 0, 0, 2, 2, 0, 0],
+    [0, 0, 1, 2, 0, 0, 0, 2, 0],
+    [0, 0, 2, 1, 0, 0, 0, 2, 0],
+    [-1, 0, 0, 0, 4, 0, 0, 0, -1],
+    [0, 2, 0, 0, 0, 1, 2, 0, 0],
+    [0, 2, 0, 0, 0, 2, 1, 0, 0],
+    [0, 0, 2, 2, 0, 0, 0, 1, 0],
+    [-1, 0, 0, 0, -1, 0, 0, 0, 4],
+])
+
 # Hermitian and unit-trace, with finite entries, but (A + A^dag)/2 overflows
 HUGE_COHERENCE_STATE = symmetric_4x4([0.25] * 4, [(0, 1, 1.7e308)])
+
+
+
+def skew_coherence_4x4(upper, lower):
+    """The 4x4 matrix with diagonal 1/4, ``upper`` at (0, 1) and ``lower`` at (1, 0)."""
+    mat = symmetric_4x4([0.25] * 4)
+    mat[0, 1], mat[1, 0] = upper, lower
+    return mat
+
+
+# states whose checks would overflow on their entries taken unscaled, each with the invariant that refuses it
+OVERFLOWING_STATES = {
+    # the huge coherence with (1, 0) negated: A - A^dag would overflow, and the defect reads inf
+    "skew-huge-coherence": (skew_coherence_4x4(1.7e308, -1.7e308), "hermiticity"),
+    # a complex coherence whose halved defect 1.7e308 (1 + i) is finite but whose modulus is not
+    "complex-skew-huge-coherence": (
+        skew_coherence_4x4(complex(1.7e308, 1.7e308), complex(-1.7e308, 1.7e308)), "hermiticity"
+    ),
+    # 1 - 1.7e308 rounds to -1.7e308, so the trace is 0 and |Tr - 1| = 1; an unscaled sum reads nan
+    "trace-cancels-huge": (symmetric_4x4([1.7e308, 1.7e308, -1.7e308, 1 - 1.7e308]), "trace"),
+    # the trace 4e308 lies beyond the float range, and |Tr - 1| reads inf
+    "trace-beyond-range": (symmetric_4x4([1e308] * 4), "trace"),
+}
 
 # witnesses on 2x2 whose textbook radius overflows or underflows: each with the invariant
 # that refuses it on bell(2), or with None and its radius where the certificate is finite

@@ -28,7 +28,7 @@ from entcert import cli
 from entcert.cli import _build_parser, main
 from entcert.io import complex_pairs
 
-from conftest import CERTIFICATE_KEYS, EXTREME_WITNESSES, HUGE_COHERENCE_STATE, random_density
+from conftest import CERTIFICATE_KEYS, EXTREME_WITNESSES, HUGE_COHERENCE_STATE, OVERFLOWING_STATES, random_density
 
 
 def run_cli(*args):
@@ -167,6 +167,17 @@ def test_bound_refuses_a_huge_coherence_by_name(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("entcert: error: positivity: ")
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_STATES)
+def test_twirl_refuses_an_overflowing_state_by_name(tmp_path, capsys, case):
+    mat, invariant = OVERFLOWING_STATES[case]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": complex_pairs(mat)}))
+    assert main(["twirl", "--state", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"entcert: error: {invariant}: ") and out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("case", EXTREME_WITNESSES)

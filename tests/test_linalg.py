@@ -38,7 +38,7 @@ from entcert import (
 from entcert.generators import swap_operator
 from entcert.linalg import as_array, bipartite_dims, hermitian_part
 
-from conftest import HUGE_COHERENCE_STATE, haar_unitary, random_hermitian
+from conftest import HUGE_COHERENCE_STATE, OVERFLOWING_STATES, haar_unitary, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -356,8 +356,18 @@ def test_array_arguments_are_refused_by_invariant(entry, bad):
         call(make(valid))
 
 
-# a state file's [re, im] pairs spoiled as ARRAY_CASES spoil a matrix, and a matrix too big for its dims
-FILE_CASES = {**ARRAY_CASES, "9x9-under-2x2": ("dims", lambda v: np.zeros((9, 9) + v.shape[2:]))}
+def _replaced_by(mat):
+    """A maker that puts ``mat`` in place of the valid matrix, as ``[re, im]`` pairs in place of pairs."""
+    return lambda v: mat if v.ndim == 2 else np.stack([mat.real, mat.imag], -1)
+
+
+# a state file's [re, im] pairs spoiled as ARRAY_CASES spoil a matrix, a matrix too big for its dims,
+# and states whose checks would overflow
+FILE_CASES = {
+    **ARRAY_CASES,
+    "9x9-under-2x2": ("dims", lambda v: np.zeros((9, 9) + v.shape[2:])),
+    **{name: (invariant, _replaced_by(mat)) for name, (mat, invariant) in OVERFLOWING_STATES.items()},
+}
 
 
 @pytest.mark.parametrize("bad", FILE_CASES)

@@ -72,10 +72,16 @@ def test_closest_separable_two_term_superposition():
 def test_closest_separable_achieves_formula_and_is_ppt(rng):
     for dims in [(2, 2), (3, 3), (2, 3)]:
         psi = PureState(dims=dims, vec=haar_vector(rng, dims[0] * dims[1]))
-        lam, _, _ = schmidt(psi)
+        lam, basis_a, basis_b = schmidt(psi)
         sigma = closest_separable_pure(psi)
         dist = frobenius_norm(psi.projector().mat - sigma.mat)
         assert abs(dist - dsep_pure(lam)) < 1e-9
+        # the mixture sum_k lam_k |a_k b_k><a_k b_k| term by term, as one outer product each
+        reference = np.zeros_like(sigma.mat)
+        for k, weight in enumerate(lam.coeffs):
+            prod = np.kron(basis_a[:, k], basis_b[:, k])
+            reference += weight * np.outer(prod, prod.conj())
+        assert np.abs(sigma.mat - reference).max() <= 1e-15
         pt = partial_transpose(sigma.mat, dims, "B")
         assert np.linalg.eigvalsh(pt).min() > -1e-12
 

@@ -28,7 +28,7 @@ from entcert import (
     singlet_state,
 )
 
-from conftest import HUGE_COHERENCE_STATE, haar_unitary, haar_vector, random_density
+from conftest import HUGE_COHERENCE_STATE, PAPER_MUB_WITNESS_THIRDS, haar_unitary, haar_vector, random_density
 
 
 def test_density_matrix_accepts_valid(rng):
@@ -306,6 +306,12 @@ def test_fixture_exact_entries():
     assert w.mat[0, 0] == 4 / 3
     assert w.mat[0, 4] == -1 / 3
     assert w.mat[1, 5] == 2 / 3
+    # built by the constructors and rounded: exact thirds, the reference's, with no -0.0 left in either part
+    thirds = 3 * w.mat
+    assert np.array_equal(thirds.real, np.round(thirds.real))
+    assert np.array_equal(thirds, PAPER_MUB_WITNESS_THIRDS)
+    assert not np.any(w.mat.imag) and not np.signbit(w.mat.imag).any()
+    assert not np.signbit(w.mat.real[w.mat.real == 0]).any()
 
 
 def test_fixture_paper_state_is_ppt():

@@ -24,7 +24,7 @@ from entcert import (
     spin_witness,
 )
 
-from conftest import CERTIFICATE_KEYS, EXTREME_WITNESSES, random_density, random_product_batch
+from conftest import CERTIFICATE_KEYS, EXTREME_WITNESSES, PAPER_MUB_WITNESS_THIRDS, random_density, random_product_batch
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -283,7 +283,7 @@ def test_paper_witness_from_the_constructors():
     reflection, eye = (2 / 3) * np.ones((3, 3)) - np.eye(3), np.eye(3)
     fam, rho = mub_family(3, 4), fixture("paper_ppt_state")
     w = mub_witness(fam, RotationSet([reflection, reflection, eye, eye]))
-    assert np.abs(w.mat - fixture("paper_mub_witness").mat).max() <= 1e-15
+    assert np.abs(w.mat - PAPER_MUB_WITNESS_THIRDS / 3).max() <= 1e-15
     assert abs(generic_bound(w, rho).dsep_lower - np.sqrt(2) / 30) <= 1e-15
     assert abs(mub_bound(w, 4, rho).dsep_lower - np.sqrt(2) / 30) <= 1e-15
     # only reflecting the first two bases detects the state
