@@ -12,9 +12,10 @@ matrix is checked as every API array is, under the same invariant names.
 ``payload`` is the only writer of the schema: the save functions, the CLI
 and the oracle's ``sigma`` all go through it.  Payloads are written with
 ``json.dumps``, whose shortest round-trip float repr keeps every value, the
-sign of zero included, bit-exact through a save and load.  The paper's
-witness fixture is not stored: the MUB constructors build it, then it is
-rounded to its exact entries n/3.
+sign of zero included, bit-exact through a save and load.  Neither of the
+paper's fixtures is stored: its Bell-diagonal PPT state is built from
+``bell_state(3)`` and two Weyl operators, its witness by the MUB
+constructors, and one rule rounds each to its exact entries n/15 and n/3.
 """
 
 from __future__ import annotations
@@ -99,19 +100,10 @@ def load_witness(path) -> Witness:
 # Fixtures
 # ---------------------------------------------------------------------------
 
-# 3x3 PPT entangled state, exact entries n/15.
-_PPT_STATE_NUM = [
-    [1, 0, 0, 0, 1, 0, 0, 0, 1],
-    [0, 2, 0, 0, 0, -1, -1, 0, 0],
-    [0, 0, 2, -1, 0, 0, 0, -1, 0],
-    [0, 0, -1, 2, 0, 0, 0, -1, 0],
-    [1, 0, 0, 0, 1, 0, 0, 0, 1],
-    [0, -1, 0, 0, 0, 2, -1, 0, 0],
-    [0, -1, 0, 0, 0, -1, 2, 0, 0],
-    [0, 0, -1, -1, 0, 0, 0, 2, 0],
-    [1, 0, 0, 0, 1, 0, 0, 0, 1],
-]
-_PPT_STATE_DEN = 15
+def _rounded(m: np.ndarray, n: int) -> np.ndarray:
+    """The real part of ``m`` rounded to multiples of 1/n; + 0.0 turns the -0.0 that rounding leaves into 0.0."""
+    return np.round(n * m.real) / n + 0.0
+
 
 FIXTURE_NAMES = ("paper_ppt_state", "paper_mub_witness", "bell(d)", "singlet")
 
@@ -119,22 +111,28 @@ FIXTURE_NAMES = ("paper_ppt_state", "paper_mub_witness", "bell(d)", "singlet")
 def fixture(name: str) -> DensityMatrix | Witness:
     """Built-in reference objects addressed by name.
 
-    ``paper_ppt_state`` and ``paper_mub_witness`` carry exact rational
-    entries; ``bell(d)`` and ``singlet`` are the standard maximally
-    entangled projectors.  The witness is not stored: it is built by
-    ``mub_witness(mub_family(3, 4), RotationSet([R, R, I, I]))``, with
-    ``R = (2/3) ones((3, 3)) - I`` the reflection through the uniform
-    axis, and then rounded to its exact entries n/3.
+    The paper's two objects are built by the library's constructors and
+    rounded to their exact entries.  ``paper_ppt_state`` is the
+    Bell-diagonal mixture ``(1/5)(|Phi00><Phi00| + sum_{k,l=1,2} |Phikl><Phikl|)``
+    of ``|Phikl> = (Z^k (x) X^l) bell_state(3)``, with ``Z = diag(omega^j)``,
+    ``omega = exp(2 pi i/3)`` and ``X|j> = |j+1 mod 3>``; its entries are n/15.
+    ``paper_mub_witness`` is ``mub_witness(mub_family(3, 4), RotationSet([R, R, I, I]))``,
+    with ``R = (2/3) ones((3, 3)) - I`` the reflection through the uniform
+    axis; its entries are n/3.  ``bell(d)`` and ``singlet`` are the standard
+    maximally entangled projectors.
     """
     if name == "paper_ppt_state":
-        mat = np.array(_PPT_STATE_NUM, dtype=np.complex128) / _PPT_STATE_DEN
-        return DensityMatrix(dims=(3, 3), mat=mat)
+        # z is the diagonal of Z and the columns of p are the five |Phikl>; p p^dag / 5 lands within 6e-17 of n/15
+        z, phi = np.exp(2j * np.pi / 3 * np.arange(3)), bell_state(3).vec
+        pairs = [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
+        p = np.stack([np.kron(np.diag(z**k), np.roll(np.eye(3), l, 0)) @ phi for k, l in pairs], 1)
+        return DensityMatrix(dims=(3, 3), mat=_rounded(p @ p.conj().T / 5, 15))
     if name == "paper_mub_witness":
         eye = np.eye(3)
         reflection = 2 / 3 - eye
         w = mub_witness(mub_family(3, 4), RotationSet([reflection, reflection, eye, eye]))
-        # the constructors land within 5e-16 of n/3; + 0.0 turns the -0.0 that rounding leaves into 0.0
-        return Witness(dims=(3, 3), mat=np.round(3 * w.mat.real) / 3 + 0.0)
+        # the constructors land within 5e-16 of n/3
+        return Witness(dims=(3, 3), mat=_rounded(w.mat, 3))
     if name == "singlet":
         return singlet_state().projector()
     m = re.fullmatch(r"bell\((\d+)\)", name)

@@ -104,6 +104,20 @@ PAPER_MUB_WITNESS_THIRDS = np.array([
     [-1, 0, 0, 0, -1, 0, 0, 0, 4],
 ])
 
+# the paper's 3x3 PPT entangled state as the numerators n of its exact entries n/15: a reference
+# independent of the Bell-diagonal construction that builds fixture("paper_ppt_state")
+PAPER_PPT_STATE_FIFTEENTHS = np.array([
+    [1, 0, 0, 0, 1, 0, 0, 0, 1],
+    [0, 2, 0, 0, 0, -1, -1, 0, 0],
+    [0, 0, 2, -1, 0, 0, 0, -1, 0],
+    [0, 0, -1, 2, 0, 0, 0, -1, 0],
+    [1, 0, 0, 0, 1, 0, 0, 0, 1],
+    [0, -1, 0, 0, 0, 2, -1, 0, 0],
+    [0, -1, 0, 0, 0, -1, 2, 0, 0],
+    [0, 0, -1, -1, 0, 0, 0, 2, 0],
+    [1, 0, 0, 0, 1, 0, 0, 0, 1],
+])
+
 # Hermitian and unit-trace, with finite entries, but (A + A^dag)/2 overflows
 HUGE_COHERENCE_STATE = symmetric_4x4([0.25] * 4, [(0, 1, 1.7e308)])
 

@@ -262,8 +262,8 @@ def test_oracle_paper_state_brackets_lower_bound():
     rho = fixture("paper_ppt_state")
     res = dsep_upper(rho, OracleConfig(restarts=3, max_iters=300, convergence_tol=1e-9, seed=5))
     assert res.dsep_upper >= np.sqrt(2) / 30 - 1e-9
-    # the published bound is nearly tight for this state
-    assert res.dsep_upper <= np.sqrt(2) / 30 + 1e-3
+    # the published bound is nearly tight for this state: the oracle lands about 2e-8 above it here
+    assert res.dsep_upper <= np.sqrt(2) / 30 + 1e-6
 
 
 def test_oracle_never_exceeds_dephasing_distance(rng):

@@ -28,7 +28,9 @@ from entcert import (
     singlet_state,
 )
 
-from conftest import HUGE_COHERENCE_STATE, PAPER_MUB_WITNESS_THIRDS, haar_unitary, haar_vector, random_density
+from conftest import (
+    HUGE_COHERENCE_STATE, PAPER_MUB_WITNESS_THIRDS, PAPER_PPT_STATE_FIFTEENTHS, haar_unitary, haar_vector, random_density
+)
 
 
 def test_density_matrix_accepts_valid(rng):
@@ -312,6 +314,20 @@ def test_fixture_exact_entries():
     assert np.array_equal(thirds, PAPER_MUB_WITNESS_THIRDS)
     assert not np.any(w.mat.imag) and not np.signbit(w.mat.imag).any()
     assert not np.signbit(w.mat.real[w.mat.real == 0]).any()
+    # the state likewise: exact fifteenths, the reference's, with imaginary parts +0.0
+    assert np.array_equal(15 * rho.mat, PAPER_PPT_STATE_FIFTEENTHS)
+    assert not np.any(rho.mat.imag) and not np.signbit(rho.mat.imag).any()
+    assert not np.signbit(rho.mat.real[rho.mat.real == 0]).any()
+    # and Bell-diagonal: <Phikl|rho|Phikl> is 1/5 on the five pairs of the mixture, 0 on the other four,
+    # with |Phikl> = sum_j omega^(kj) |j, j+l> / sqrt(3)
+    omega = np.exp(2j * np.pi / 3)
+    for k in range(3):
+        for l in range(3):
+            phi = np.zeros(9, dtype=complex)
+            for j in range(3):
+                phi[3 * j + (j + l) % 3] = omega ** (k * j) / np.sqrt(3)
+            weight = 1 / 5 if (k, l) in [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)] else 0.0
+            assert abs(phi.conj() @ rho.mat @ phi - weight) <= 1e-15
 
 
 def test_fixture_paper_state_is_ppt():
