@@ -176,10 +176,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_mub_witness)
 
-    p = sub.add_parser("spin-bound", parents=[common], help="alias of bound --spin")
-    p.add_argument("--state", required=True)
-    p.set_defaults(func=_cmd_bound, spin=True, witness_file=None, mub=None)
-
     p = sub.add_parser("pure", parents=[common], help="Schmidt data and dephasing distance of a rank-1 state")
     p.add_argument("--state", required=True)
     p.set_defaults(func=_cmd_pure)

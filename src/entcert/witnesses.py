@@ -225,6 +225,11 @@ def mub_witness(mubs: MubFamily, rotations: RotationSet) -> Witness:
 
     W = ((d - 1 + L)/d) I - sum_a sum_{k,l} O^(a)_{kl} conj(P_l^(a)) (x) P_k^(a)
     with P the rank-1 basis projectors and conj the entrywise conjugate.
+
+    The L d projectors form one stack p[a, k] = P_k^(a).  Since conj(P) = P^T,
+    the rows r[a, k] = sum_l O^(a)_{kl} P_l^(a)T are one batched product, and
+    the sum is the one contraction sum_{a,k} r[a, k]_{im} p[a, k]_{jn}, read
+    on axes (i, j, m, n): O(L d^5) flops.
     """
     d = mubs.d
     count = len(mubs.bases)
@@ -234,12 +239,10 @@ def mub_witness(mubs: MubFamily, rotations: RotationSet) -> Witness:
         )
     if rotations.mats[0].shape != (d, d):
         raise DimensionMismatch(f"shape: rotations are {rotations.mats[0].shape}, need {(d, d)}")
-    acc = np.zeros((d * d, d * d), dtype=np.complex128)
-    for basis, rot in zip(mubs.bases, rotations.mats):
-        # column (l, k) is conj(b_l) (x) b_k, so the sum is cols diag(O^T) cols^dag
-        cols = np.einsum("il,jk->ijlk", basis.conj(), basis).reshape(d * d, d * d)
-        acc += (cols * rot.T.reshape(-1)) @ cols.conj().T
-    mat = ((d - 1 + count) / d) * np.eye(d * d) - acc
+    p = np.einsum("aik,ajk->akij", mubs.bases, mubs.bases.conj())
+    rows = rotations.mats @ p.swapaxes(-1, -2).reshape(count, d, d * d)
+    corr = (rows.reshape(-1, d * d).T @ p.reshape(-1, d * d)).reshape((d,) * 4).transpose(0, 2, 1, 3)
+    mat = ((d - 1 + count) / d) * np.eye(d * d) - corr.reshape(d * d, d * d)
     return Witness(dims=(d, d), mat=mat)
 
 

@@ -90,6 +90,37 @@ def symmetric_4x4(diag, off=()):
     return mat
 
 
+def mub_witness_reference(mubs, rotations):
+    """The basis witness matrix built one basis at a time, as a reference independent of ``mub_witness``.
+
+    Column (l, k) of each basis's matrix is conj(b_l) (x) b_k, so the basis's
+    term is cols diag(O^T) cols^dag: a dense d^2 x d^2 product per basis.
+    """
+    d, count = mubs.d, len(mubs.bases)
+    acc = np.zeros((d * d, d * d), dtype=np.complex128)
+    for basis, rot in zip(mubs.bases, rotations.mats):
+        cols = np.einsum("il,jk->ijlk", basis.conj(), basis).reshape(d * d, d * d)
+        acc += (cols * rot.T.reshape(-1)) @ cols.conj().T
+    return ((d - 1 + count) / d) * np.eye(d * d) - acc
+
+
+def two_qubit_exact(rho):
+    """Wootters' concurrence C and the entanglement of formation (bits) of a two-qubit density matrix.
+
+    The lambda_i are the singular values of sqrt(rho) (sy (x) sy) conj(sqrt(rho)),
+    which are the square roots of the eigenvalues of rho (sy (x) sy) conj(rho) (sy (x) sy)
+    without forming that non-Hermitian product (Wootters, PRL 80, 2245, 1998).
+    """
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    sy = np.array([[0, -1j], [1j, 0]])
+    lam = np.linalg.svd(root @ np.kron(sy, sy) @ root.conj(), compute_uv=False)
+    c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    x = (1 + np.sqrt(max(0.0, 1 - c * c))) / 2
+    eof = 0.0 if x >= 1 else float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
+    return float(c), eof
+
+
 # the paper's four-basis witness on 3x3 as the numerators n of its exact entries n/3: a reference
 # independent of the constructors that build fixture("paper_mub_witness")
 PAPER_MUB_WITNESS_THIRDS = np.array([

@@ -116,11 +116,15 @@ def test_pure_rejects_mixed_state(paper_files):
 def test_spin_bound_singlet(tmp_path):
     path = tmp_path / "singlet.json"
     save_state(fixture("singlet"), path)
-    proc = run_cli("spin-bound", "--state", str(path), "--quiet")
+    proc = run_cli("bound", "--spin", "--state", str(path), "--quiet")
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["witness_value"] == pytest.approx(-4.0, abs=1e-10)
     assert out["dsep_lower"] == pytest.approx(4 / np.sqrt(240), abs=1e-10)
+    # the spin-bound alias is gone: argparse refuses it as an unknown subcommand
+    alias = run_cli("spin-bound", "--state", str(path), "--quiet")
+    assert alias.returncode == 1
+    assert "invalid choice: 'spin-bound'" in alias.stderr
 
 
 def test_spin_bound_rejects_unequal_dims(tmp_path):

@@ -9,6 +9,7 @@ from entcert import (
     MubFamily,
     RotationSet,
     Witness,
+    bell_state,
     bounds_from_dsep,
     collective,
     fixture,
@@ -24,7 +25,14 @@ from entcert import (
     spin_witness,
 )
 
-from conftest import CERTIFICATE_KEYS, EXTREME_WITNESSES, PAPER_MUB_WITNESS_THIRDS, random_density, random_product_batch
+from conftest import (
+    CERTIFICATE_KEYS,
+    EXTREME_WITNESSES,
+    PAPER_MUB_WITNESS_THIRDS,
+    mub_witness_reference,
+    random_density,
+    random_product_batch,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -239,6 +247,38 @@ def test_mub_witness_with_nontrivial_rotation(rng):
     assert np.trace(w.mat).real == pytest.approx(2.0, abs=1e-12)
     vals = product_expectations(w, 2, 2, rng, n=500)
     assert vals.min() >= -1e-9
+
+
+def axis_rotations(rng, d, count):
+    """``count`` seeded rotations u u^T + V G V^T, with V an orthonormal basis of u-perp and G in SO(d - 1)."""
+    u = np.full((d, 1), 1 / np.sqrt(d))
+    v = np.linalg.qr(np.hstack([u, rng.standard_normal((d, d - 1))]))[0][:, 1:]
+    mats = []
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.standard_normal((d - 1, d - 1)))
+        g = q * np.sign(np.diag(r))
+        g[:, 0] *= np.sign(np.linalg.det(g))
+        mats.append(u @ u.T + v @ g @ v.T)
+    return RotationSet(mats)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_mub_witness_matches_the_basis_by_basis_reference(d):
+    rng = np.random.default_rng(d)
+    for count in range(2, d + 2):
+        fam, turned = mub_family(d, count), axis_rotations(rng, d, count)
+        if d >= 3:
+            # a symmetric O cannot tell O from O^T, so only these rotations check its orientation
+            assert np.abs(turned.mats - turned.mats.swapaxes(1, 2)).max() > 0.1
+        for rotations in (RotationSet.identity(d, count), turned):
+            gap = np.abs(mub_witness(fam, rotations).mat - mub_witness_reference(fam, rotations)).max()
+            assert gap <= 1e-14, f"d={d} L={count}"
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_full_identity_witness_is_identity_minus_d_bell(d):
+    w = mub_witness(mub_family(d, d + 1), RotationSet.identity(d, d + 1))
+    assert np.linalg.norm(w.mat - (np.eye(d * d) - d * bell_state(d).projector().mat)) <= 1e-13
 
 
 def test_rotation_validation():
