@@ -21,7 +21,9 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import sys
+from functools import reduce
 from itertools import chain
+from operator import iadd
 
 import numpy as np
 
@@ -92,21 +94,48 @@ def _holds_bool(entries, depth: int) -> bool:
     )
 
 
+def _walked_array(entries, ndim: int) -> np.ndarray | None:
+    """``np.asarray(entries)``, from one walk of ``ndim`` levels of ``list``/``tuple`` nesting, each level of one
+    nonzero length, whose leaves are all exactly ``float``, ``int`` or ``complex``; None for anything else."""
+    shape, level = [], [entries]
+    for _ in range(ndim):
+        if not set(map(type, level)) <= {list, tuple}:
+            return None
+        lengths = set(map(len, level))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        level = reduce(iadd, level, [])  # extends one new list, in C
+    kinds = set(map(type, level))
+    if not kinds <= {float, int, complex}:
+        return None
+    # np.array discovers the dtype that ints need; floats alone are float64
+    return np.array(level, float if kinds == {float} else None).reshape(shape)
+
+
 def as_array(entries, ndim: int, what: str, dtype=np.complex128) -> np.ndarray:
     """Coerce to a finite, nonempty ``ndim``-d array of ``dtype``.
 
     A real ``dtype`` refuses entries with a nonzero imaginary part rather
     than drop it; arrays of bools, strings or other non-numbers are refused,
-    and so is a bool among numbers in list or tuple input.
+    and so is a bool among numbers in list or tuple input.  Rectangular
+    ``list``/``tuple`` nesting of plain Python numbers ``ndim`` deep, a
+    decoded JSON matrix among them, is walked once: its leaves' types are
+    the bool scan, and ``np.array`` of the flat leaves, reshaped, is the
+    array ``np.asarray`` would give, dtype and bytes alike.  Any other
+    input goes through ``np.asarray`` and a separate scan for bools.
     """
-    try:
-        arr = np.asarray(entries)
-    except ValueError as exc:  # ragged or mixed-size nesting
-        raise InvariantViolation(f"shape: ragged nesting in {what}") from exc
+    arr = _walked_array(entries, ndim) if isinstance(entries, (list, tuple)) else None
+    walked = arr is not None
+    if not walked:
+        try:
+            arr = np.asarray(entries)
+        except ValueError as exc:  # ragged or mixed-size nesting
+            raise InvariantViolation(f"shape: ragged nesting in {what}") from exc
     if arr.dtype.kind not in "iufc":
         raise InvariantViolation(f"type: non-numeric entries ({arr.dtype}) in {what}")
     # np.asarray reads a bool beside a number as 0 or 1
-    if isinstance(entries, (list, tuple)) and _holds_bool(entries, arr.ndim):
+    if not walked and isinstance(entries, (list, tuple)) and _holds_bool(entries, arr.ndim):
         raise InvariantViolation(f"type: bool entries in {what}")
     if arr.ndim != ndim or arr.size == 0:
         raise InvariantViolation(f"shape: {what} must be a nonempty {ndim}-d array, got {arr.shape}")

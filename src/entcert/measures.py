@@ -21,7 +21,7 @@ bounds on concurrence and entanglement of formation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,7 +40,8 @@ class MeasureBounds:
     geometric_lower: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # the keys and values of dataclasses.asdict, without its recursive deep copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def dsep_pure(lam: SchmidtVector) -> float:

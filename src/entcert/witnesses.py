@@ -16,7 +16,7 @@ A certificate carries the distance bound and the measure bounds it implies.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -82,7 +82,8 @@ class BoundCertificate:
             object.__setattr__(self, name, getattr(bounds, name))
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # the keys and values of dataclasses.asdict, without its recursive deep copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def normalize_witness(w: Witness) -> WitnessNormalization:

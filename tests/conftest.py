@@ -105,11 +105,13 @@ def mub_witness_reference(mubs, rotations):
 
 
 def two_qubit_exact(rho):
-    """Wootters' concurrence C and the entanglement of formation (bits) of a two-qubit density matrix.
+    """Wootters' concurrence C, the entanglement of formation (bits) and the geometric entanglement E_G
+    of a two-qubit density matrix.
 
     The lambda_i are the singular values of sqrt(rho) (sy (x) sy) conj(sqrt(rho)),
     which are the square roots of the eigenvalues of rho (sy (x) sy) conj(rho) (sy (x) sy)
-    without forming that non-Hermitian product (Wootters, PRL 80, 2245, 1998).
+    without forming that non-Hermitian product (Wootters, PRL 80, 2245, 1998);
+    E_G = (1 - sqrt(1 - C^2))/2 (Wei & Goldbart, PRA 68, 042307, 2003).
     """
     w, v = np.linalg.eigh(rho)
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
@@ -118,7 +120,7 @@ def two_qubit_exact(rho):
     c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
     x = (1 + np.sqrt(max(0.0, 1 - c * c))) / 2
     eof = 0.0 if x >= 1 else float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
-    return float(c), eof
+    return float(c), eof, float(1 - x)
 
 
 # the paper's four-basis witness on 3x3 as the numerators n of its exact entries n/3: a reference

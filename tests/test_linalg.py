@@ -36,7 +36,7 @@ from entcert import (
     verify_generator_identities,
 )
 from entcert.generators import swap_operator
-from entcert.linalg import as_array, bipartite_dims, hermitian_part
+from entcert.linalg import _walked_array, as_array, bipartite_dims, hermitian_part
 
 from conftest import HUGE_COHERENCE_STATE, OVERFLOWING_STATES, haar_unitary, random_hermitian
 
@@ -394,6 +394,52 @@ def test_a_file_names_a_fault_as_the_api_does(tmp_path, bad):
 def test_bool_leaves_are_refused(entries):
     with pytest.raises(InvariantViolation, match="^type: bool entries in x$"):
         as_array(entries, np.ndim(entries), "x", float)
+
+
+# nested lists and tuples of Python numbers: each is read in one walk of its nesting
+WALKED_ENTRIES = {
+    "floats": [[0.5, -0.0], [1e-300, -2.5e300]],
+    "ints": [[1, -2], [3, 2**62]],
+    "uint64-range-int": [[2**63, 1], [2, 3]],
+    "complex": [[1j, complex(-0.0, 2.0)], [complex(-0.0, -0.0), 3 + 0j]],
+    "int-float": [[1, 2.5], [3, -0.0]],
+    "int-complex": [[1, 2j], [3, 4]],
+    "float-complex": [[0.5, 2j], [-0.0, 1.0]],
+    "int-float-complex": [(1, 2.5), (3j, -0.0)],
+    "tuples": ((1.0, 2.0), (3.0, 4.0)),
+    "vector": [0.5, 1, -0.0],
+    "[re, im]-pairs": [[[0.25, -0.0], [0.0, 1e-17]], [[0.0, -1e-17], [0.75, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("name", WALKED_ENTRIES)
+def test_the_walk_gives_what_np_asarray_gives(name):
+    entries = WALKED_ENTRIES[name]
+    ndim = np.ndim(entries)
+    walked, reference = _walked_array(entries, ndim), np.asarray(entries)
+    assert (walked.dtype, walked.shape, walked.tobytes()) == (reference.dtype, reference.shape, reference.tobytes())
+    dtype = np.complex128 if reference.dtype.kind == "c" else np.float64
+    assert as_array(entries, ndim, "x", dtype).tobytes() == reference.astype(dtype).tobytes()
+
+
+@pytest.mark.parametrize("entries, ndim", [
+    ([[1.0, 2.0], [3.0]], 2),
+    ([[1.0, True]], 2),
+    ([[1.0, np.float64(2.0)]], 2),
+    ([[1.0, "2"]], 2),
+    ([[1.0, 2.0]], 1),
+    ([1.0, 2.0], 2),
+    ([[]], 2),
+    ([[1.0], (2.0,), np.array([3.0])], 2),
+], ids=["ragged", "bool", "numpy-scalar", "string", "too-deep", "too-shallow", "empty", "array-row"])
+def test_the_walk_leaves_every_other_input_to_np_asarray(entries, ndim):
+    assert _walked_array(entries, ndim) is None
+
+
+def test_ints_beyond_the_int_range_are_refused_on_the_walk():
+    for entries in ([[2**70, 1]], [[2**70, 1.0]], [[-(2**63) - 1, 1j]]):
+        with pytest.raises(InvariantViolation, match=r"^type: non-numeric entries \(object\) in x$"):
+            as_array(entries, 2, "x")
 
 
 # every public real argument: its invariant name, a valid value and a call that passes it

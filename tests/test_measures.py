@@ -209,24 +209,29 @@ def test_geometric_equals_squared_distance_only_for_flat_spectra():
 
 
 def test_two_qubit_exact_reference():
-    c, eof = two_qubit_exact(fixture("bell(2)").mat)
+    c, eof, eg = two_qubit_exact(fixture("bell(2)").mat)
     assert abs(c - 1.0) <= 1e-12 and abs(eof - 1.0) <= 1e-12
+    # E_G has infinite slope at C = 1: the rounded C = 1 - 7e-16 reads E_G = 1/2 - 1.8e-8
+    assert abs(eg - 0.5) <= 1e-7
     product = np.kron(np.outer([0.6, 0.8], [0.6, 0.8]), np.diag([1.0, 0.0]))
     assert max(two_qubit_exact(product)) <= 1e-12
     for p in (0.2, 0.5, 0.8):
         isotropic = p * fixture("bell(2)").mat + (1 - p) * np.eye(4) / 4
-        assert abs(two_qubit_exact(isotropic)[0] - max(0.0, (3 * p - 1) / 2)) <= 1e-12
+        c, _, eg = two_qubit_exact(isotropic)
+        exact_c = max(0.0, (3 * p - 1) / 2)
+        assert abs(c - exact_c) <= 1e-12
+        assert abs(eg - (1 - math.sqrt(1 - exact_c**2)) / 2) <= 1e-12
 
 
 def test_two_qubit_certificates_stay_below_the_exact_measures():
-    # geometric_lower is left out: dsep^2 is a heuristic on mixed states, not a bound
+    # geometric_lower is left out, and so is the exact E_G: dsep^2 is a heuristic on mixed states, not a bound
     rng = np.random.default_rng(4)
     witnesses = {count: mub_witness(mub_family(2, count), RotationSet.identity(2, count)) for count in (2, 3)}
     certified = 0
     for i in range(2000):
         g = rng.standard_normal((4, 1 + i % 4)) + 1j * rng.standard_normal((4, 1 + i % 4))
         rho = DensityMatrix(dims=(2, 2), mat=g @ g.conj().T / np.vdot(g, g).real)
-        c, eof = two_qubit_exact(rho.mat)
+        c, eof, _ = two_qubit_exact(rho.mat)
         certs = [spin_bound(rho)] + [mub_bound(w, count, rho) for count, w in witnesses.items()]
         for cert in certs:
             assert cert.concurrence_lower <= c + 1e-12, (i, cert)

@@ -27,9 +27,11 @@ from entcert import (
     schmidt,
     singlet_state,
 )
+from entcert.linalg import PSD_TOL
 
 from conftest import (
-    HUGE_COHERENCE_STATE, PAPER_MUB_WITNESS_THIRDS, PAPER_PPT_STATE_FIFTEENTHS, haar_unitary, haar_vector, random_density
+    HUGE_COHERENCE_STATE, PAPER_MUB_WITNESS_THIRDS, PAPER_PPT_STATE_FIFTEENTHS, haar_unitary, haar_vector, random_density,
+    symmetric_4x4,
 )
 
 
@@ -60,6 +62,47 @@ def test_density_matrix_rejects_a_huge_coherence_by_name():
     # Hermitian with unit trace; its eigenvalues are 0.25 and 0.25 +- 1.7e308
     with pytest.raises(InvariantViolation, match=r"^positivity: minus the minimum eigenvalue = 1\.700e\+308 "):
         DensityMatrix(dims=(2, 2), mat=HUGE_COHERENCE_STATE)
+
+
+def _spectrum_state(rng, spectrum):
+    u = haar_unitary(rng, len(spectrum))
+    return (u * spectrum) @ u.conj().T
+
+
+def _counting(monkeypatch, name):
+    """Patch ``np.linalg.<name>`` with a wrapper that counts its calls."""
+    calls, real = [], getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_positivity_decision_at_the_tolerance(rng, monkeypatch):
+    eigvalsh_calls = _counting(monkeypatch, "eigvalsh")
+    # the screen fails on h + (PSD_TOL/2) I, and eigvalsh accepts
+    DensityMatrix(dims=(2, 2), mat=_spectrum_state(rng, [-0.9 * PSD_TOL, 0.3, 0.3, 0.4 + 0.9 * PSD_TOL]))
+    assert len(eigvalsh_calls) == 1
+    with pytest.raises(InvariantViolation, match=r"^positivity: minus the minimum eigenvalue = 1\.100e-10 exceeds 1\.0e-10$"):
+        DensityMatrix(dims=(2, 2), mat=_spectrum_state(rng, [-1.1 * PSD_TOL, 0.3, 0.3, 0.4 + 1.1 * PSD_TOL]))
+    assert len(eigvalsh_calls) == 2
+
+
+def test_positivity_screen_settles_a_valid_state(rng, tmp_path, monkeypatch):
+    rho = DensityMatrix(dims=(3, 3), mat=random_density(rng, 9))
+    save_state(rho, tmp_path / "rho.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh reached")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert load_state(tmp_path / "rho.json").mat.tobytes() == rho.mat.tobytes()
+
+
+def test_positivity_of_an_entry_above_one_is_left_to_eigvalsh(monkeypatch):
+    eigvalsh_calls, cholesky_calls = _counting(monkeypatch, "eigvalsh"), _counting(monkeypatch, "cholesky")
+    # Hermitian with unit trace; its eigenvalues are 0.25 and 0.25 +- 1.5
+    with pytest.raises(InvariantViolation, match=r"^positivity: minus the minimum eigenvalue = 1\.250e\+00 "):
+        DensityMatrix(dims=(2, 2), mat=symmetric_4x4([0.25] * 4, [(0, 1, 1.5)]))
+    assert (len(eigvalsh_calls), len(cholesky_calls)) == (1, 0)
 
 
 def test_density_matrix_rejects_wrong_shape():

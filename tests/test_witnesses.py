@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,13 @@ def test_certificate_serialization():
     bounds = bounds_from_dsep(cert.dsep_lower)
     assert cert.to_json() == {**cert.to_json(), **bounds.to_json()}
     assert cert.concurrence_lower == bounds.concurrence_lower == pytest.approx(1 / 15, abs=1e-12)
+
+
+def test_to_json_is_asdict_in_its_key_order():
+    cert = generic_bound(fixture("paper_mub_witness"), fixture("paper_ppt_state"))
+    for obj in (cert, bounds_from_dsep(cert.dsep_lower)):
+        payload, reference = obj.to_json(), dataclasses.asdict(obj)
+        assert payload == reference and list(payload) == list(reference)
 
 
 def test_generic_bound_refuses_an_impossible_distance():
@@ -341,6 +351,15 @@ def test_mub_bound_detects_maximally_entangled():
         cert = mub_bound(w, d + 1, fixture(f"bell({d})"))
         assert cert.certified
         assert cert.dsep_lower > 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("d", [3, 7])
+def test_mub_bound_never_exceeds_the_exact_bell_distance(d):
+    # D_sep(bell(d)) = sqrt((d - 1)/(d + 1)); the certificate subtracts no rounding error, and at
+    # L = d + 1 it prints a few ulps above that distance
+    w = mub_witness(mub_family(d, d + 1), RotationSet.identity(d, d + 1))
+    assert mub_bound(w, d + 1, fixture(f"bell({d})")).dsep_lower <= math.sqrt((d - 1) / (d + 1))
 
 
 def test_mub_bound_separable_state():
