@@ -10,7 +10,9 @@ file.  Informational chatter goes to stderr and is silenced by
 
 A caller that runs ``main`` many times in one process reuses the basis
 witness of each ``(d, L)`` that ``bound --mub`` and ``mub-witness`` build,
-at most 16 (least recently used first out).  A one-shot ``entcert``
+at most 16 (least recently used first out), and ``load_witness`` parses
+and validates the text of each ``bound --witness-file`` once, at most 16
+texts; state files are parsed on every call.  A one-shot ``entcert``
 process builds each once anyway and gains nothing.
 
 Each ``main`` call runs its command with the cyclic garbage collector

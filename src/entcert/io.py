@@ -9,6 +9,10 @@ Witness files carry an extra ``"kind": "witness"`` and are validated for
 Hermiticity only; states must additionally have unit trace and be
 positive semidefinite within tolerance.  Past the ``[re, im]`` axis the
 matrix is checked as every API array is, under the same invariant names.
+Both loaders read the file on every call.  A state's text is parsed and
+validated on every call too; a witness's text is parsed and validated once
+per process, as one witness is measured on many states, and up to 16 texts
+are kept with their witnesses (about 155 KB an entry at d = 7).
 ``payload`` is the only writer of the schema: the save functions, the CLI
 and the oracle's ``sigma`` all go through it.  Payloads are written with
 ``json.dumps``, whose shortest round-trip float repr keeps every value, the
@@ -20,6 +24,7 @@ constructors, and one rule rounds each to its exact entries n/15 and n/3.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from pathlib import Path
@@ -46,18 +51,22 @@ def payload(obj: DensityMatrix | Witness) -> dict:
     return out
 
 
-def read_matrix_payload(path) -> tuple[object, np.ndarray, str | None]:
-    """Parse the shared schema; returns (dims, matrix, kind).
+class _Undecodable(Exception):
+    """``json.loads`` refused a text; its cause is the decoder's error, and the loader names the file."""
+
+
+def parse_matrix_payload(text: str) -> tuple[object, np.ndarray, str | None]:
+    """Parse the shared schema from a file's text; returns (dims, matrix, kind).
 
     The matrix goes through ``as_array``; ``dims``, the shape against it,
     Hermiticity and the state invariants are left to the ``DensityMatrix``
     and ``Witness`` constructors, so a fault gets the API's name for it.
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    # ValueError covers JSON and UTF-8 decode errors, RecursionError too deep a nesting
-    except (OSError, ValueError, RecursionError) as exc:
-        raise InvariantViolation(f"parse: cannot read {path}: {exc}") from exc
+        doc = json.loads(text)
+    # ValueError covers JSON errors and integers too long to convert, RecursionError too deep a nesting
+    except (ValueError, RecursionError) as exc:
+        raise _Undecodable from exc
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise InvariantViolation("parse: payload must be an object with 'dims' and 'matrix'")
     pairs = as_array(doc["matrix"], 3, "matrix", float)
@@ -65,6 +74,19 @@ def read_matrix_payload(path) -> tuple[object, np.ndarray, str | None]:
         raise InvariantViolation(f"shape: matrix entries must be [re, im] pairs, got shape {pairs.shape}")
     # viewing (re, im) float pairs as complex keeps the sign of zero, a + 1j*b does not
     return doc["dims"], pairs.view(np.complex128)[..., 0], doc.get("kind")
+
+
+def _load(path, build):
+    """``build`` of the text of ``path``; a file that cannot be read or decoded is refused under ``parse:``."""
+    try:
+        text = Path(path).read_text()
+    # ValueError covers UTF-8 decode errors
+    except (OSError, ValueError) as exc:
+        raise InvariantViolation(f"parse: cannot read {path}: {exc}") from exc
+    try:
+        return build(text)
+    except _Undecodable as exc:
+        raise InvariantViolation(f"parse: cannot read {path}: {exc.__cause__}") from exc.__cause__
 
 
 def _save(obj: DensityMatrix | Witness, path) -> None:
@@ -75,25 +97,48 @@ def save_state(rho: DensityMatrix, path) -> None:
     _save(rho, path)
 
 
-def load_state(path) -> DensityMatrix:
-    """Load and validate a density matrix; load(save(rho)) is bit-exact."""
-    dims, mat, kind = read_matrix_payload(path)
+def _state_from_text(text: str) -> DensityMatrix:
+    dims, mat, kind = parse_matrix_payload(text)
     if kind == "witness":
         raise InvariantViolation("kind: file holds a witness, not a state")
     return DensityMatrix(dims=dims, mat=mat)
+
+
+def load_state(path) -> DensityMatrix:
+    """Load and validate a density matrix; load(save(rho)) is bit-exact.
+
+    The file is read, parsed and validated on every call.
+    """
+    return _load(path, _state_from_text)
 
 
 def save_witness(w: Witness, path) -> None:
     _save(w, path)
 
 
-def load_witness(path) -> Witness:
-    dims, mat, kind = read_matrix_payload(path)
+# Keyed by the text, not the path, so a rewritten file is parsed afresh; it
+# returns a frozen object with read-only arrays, so callers share it; an
+# exception is not cached.
+@functools.lru_cache(maxsize=16)
+def _witness_from_text(text: str) -> Witness:
+    dims, mat, kind = parse_matrix_payload(text)
     if kind != "witness":
         raise InvariantViolation(
             f"kind: expected a witness file (kind='witness'), got {kind!r}"
         )
     return Witness(dims=dims, mat=mat)
+
+
+def load_witness(path) -> Witness:
+    """Load and validate a witness; load(save(w)) is bit-exact.
+
+    The file is read on every call, but each distinct text is parsed and
+    validated once per process: the last 16 texts are kept (least recently
+    used first out), each with its ``Witness``, so a text read again returns
+    the same frozen object.  An entry holds the text and the matrix, about
+    155 KB at d = 7 and 1.9 MB at d = 13.
+    """
+    return _load(path, _witness_from_text)
 
 
 # ---------------------------------------------------------------------------

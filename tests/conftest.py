@@ -1,4 +1,6 @@
 import gc
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -30,6 +32,11 @@ def collector_left_enabled():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("the test left the cyclic garbage collector disabled")
+
+
+def run_cli(*args):
+    """``python -m entcert`` with ``args`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "entcert", *args], capture_output=True, text=True, timeout=300)
 
 
 # the fields of a certificate, in the order `entcert bound` prints them
@@ -112,13 +119,20 @@ def two_qubit_exact(rho):
     which are the square roots of the eigenvalues of rho (sy (x) sy) conj(rho) (sy (x) sy)
     without forming that non-Hermitian product (Wootters, PRL 80, 2245, 1998);
     E_G = (1 - sqrt(1 - C^2))/2 (Wei & Goldbart, PRA 68, 042307, 2003).
+    Both are functions of x = (1 + sqrt(1 - C^2))/2.  On rank-1 input x is
+    the largest eigenvalue of rho_A, since there sqrt(1 - C^2) = |l1 - l2|
+    for the eigenvalues l of rho_A: near C = 1, where sqrt(1 - C^2) has
+    infinite slope, that loses no digits.
     """
     w, v = np.linalg.eigh(rho)
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     sy = np.array([[0, -1j], [1j, 0]])
     lam = np.linalg.svd(root @ np.kron(sy, sy) @ root.conj(), compute_uv=False)
     c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
-    x = (1 + np.sqrt(max(0.0, 1 - c * c))) / 2
+    if w[-2] <= 1e-12:
+        x = np.linalg.eigvalsh(np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3))[-1]
+    else:
+        x = (1 + np.sqrt(max(0.0, 1 - c * c))) / 2
     eof = 0.0 if x >= 1 else float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
     return float(c), eof, float(1 - x)
 

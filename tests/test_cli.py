@@ -2,8 +2,6 @@ import gc
 import importlib
 import json
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +24,11 @@ from entcert import (
 )
 from entcert import cli
 from entcert.cli import _build_parser, main
-from entcert.io import complex_pairs
+from entcert.io import _witness_from_text, complex_pairs
 
-from conftest import CERTIFICATE_KEYS, EXTREME_WITNESSES, HUGE_COHERENCE_STATE, OVERFLOWING_STATES, random_density
-
-
-def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "entcert", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    return proc
+from conftest import (
+    CERTIFICATE_KEYS, EXTREME_WITNESSES, HUGE_COHERENCE_STATE, OVERFLOWING_STATES, random_density, run_cli
+)
 
 
 @pytest.fixture(scope="module")
@@ -442,7 +432,7 @@ def test_main_reuses_parser_across_calls(paper_files, capsys):
 
 
 def test_main_builds_each_witness_once(paper_files, monkeypatch, capsys):
-    state, _ = paper_files
+    state, witness = paper_files
     built = []
 
     def counted(name):
@@ -471,6 +461,11 @@ def test_main_builds_each_witness_once(paper_files, monkeypatch, capsys):
     assert built == []  # the variance witness needs only d, read from the state: no Gell-Mann set is built
     assert not cli._basis_witness(3, 4).mat.flags.writeable
     assert built == []
+    check_witness = Witness.__post_init__
+    monkeypatch.setattr(Witness, "__post_init__", lambda w: (built.append("Witness"), check_witness(w)))
+    _witness_from_text.cache_clear()
+    assert stdout_of("--witness-file", str(witness)) == stdout_of("--witness-file", str(witness))
+    assert built == ["Witness"]  # the file's text is parsed and validated once
 
 
 def test_console_script_runs_in_process(capsys):

@@ -211,8 +211,7 @@ def test_geometric_equals_squared_distance_only_for_flat_spectra():
 def test_two_qubit_exact_reference():
     c, eof, eg = two_qubit_exact(fixture("bell(2)").mat)
     assert abs(c - 1.0) <= 1e-12 and abs(eof - 1.0) <= 1e-12
-    # E_G has infinite slope at C = 1: the rounded C = 1 - 7e-16 reads E_G = 1/2 - 1.8e-8
-    assert abs(eg - 0.5) <= 1e-7
+    assert abs(eg - 0.5) <= 1e-12
     product = np.kron(np.outer([0.6, 0.8], [0.6, 0.8]), np.diag([1.0, 0.0]))
     assert max(two_qubit_exact(product)) <= 1e-12
     for p in (0.2, 0.5, 0.8):

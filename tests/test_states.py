@@ -21,17 +21,20 @@ from entcert import (
     load_state,
     load_witness,
     mub_family,
+    mub_witness,
     partial_transpose,
     save_state,
     save_witness,
     schmidt,
     singlet_state,
 )
+from entcert.cli import main
+from entcert.io import _witness_from_text, complex_pairs, payload
 from entcert.linalg import PSD_TOL
 
 from conftest import (
     HUGE_COHERENCE_STATE, PAPER_MUB_WITNESS_THIRDS, PAPER_PPT_STATE_FIFTEENTHS, haar_unitary, haar_vector, random_density,
-    symmetric_4x4,
+    run_cli, symmetric_4x4,
 )
 
 
@@ -340,6 +343,96 @@ def test_witness_file_round_trip(tmp_path):
     save_state(fixture("paper_ppt_state"), tmp_path / "s.json")
     with pytest.raises(InvariantViolation, match="kind"):
         load_witness(tmp_path / "s.json")
+
+
+def _counting_constructions(monkeypatch, cls):
+    """Patch ``cls.__post_init__`` with a wrapper that counts its calls."""
+    calls, check = [], cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda obj: calls.append(1) or check(obj))
+    return calls
+
+
+def test_rewritten_witness_file_gives_the_new_certificate(tmp_path, capsys):
+    state, witness = tmp_path / "s.json", tmp_path / "w.json"
+    save_state(fixture("paper_ppt_state"), state)
+    argv = ["bound", "--state", str(state), "--witness-file", str(witness), "--quiet"]
+    outs = []
+    for w in (fixture("paper_mub_witness"), mub_witness(mub_family(3, 4), RotationSet.identity(3, 4))):
+        save_witness(w, witness)
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (0, outs[-1])
+    assert outs[0] != outs[1]
+
+
+def test_witness_text_is_parsed_once_at_any_path(tmp_path, monkeypatch):
+    text = json.dumps(payload(fixture("paper_mub_witness")))
+    for name in ("a.json", "b.json"):
+        (tmp_path / name).write_text(text)
+    _witness_from_text.cache_clear()
+    built = _counting_constructions(monkeypatch, Witness)
+    first = load_witness(tmp_path / "a.json")
+    assert load_witness(tmp_path / "b.json") is first
+    assert load_witness(tmp_path / "a.json") is first
+    assert len(built) == 1
+    assert not first.mat.flags.writeable
+
+
+def test_refused_witness_files_are_refused_alike_and_never_cached(tmp_path):
+    w = np.eye(4)
+    w[0, 1] = 0.5
+    texts = {
+        "kind": json.dumps(payload(fixture("bell(2)"))),
+        "json": "{not json",
+        "utf8": json.dumps(payload(fixture("paper_mub_witness"))) + "\udcff",
+        "hermiticity": json.dumps({"dims": [2, 2], "kind": "witness", "matrix": complex_pairs(w)}),
+    }
+    _witness_from_text.cache_clear()
+    for fault, text in texts.items():
+        messages = []
+        for name in ("a.json", "b.json"):
+            path = tmp_path / name
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            with pytest.raises(InvariantViolation) as first:
+                load_witness(path)
+            with pytest.raises(InvariantViolation) as second:
+                load_witness(path)
+            assert str(first.value) == str(second.value)
+            messages.append(str(first.value))
+        if fault in ("json", "utf8"):
+            # each message names its own file
+            assert messages[0].startswith(f"parse: cannot read {tmp_path / 'a.json'}: ")
+            assert messages[1] == messages[0].replace("a.json", "b.json")
+        else:
+            assert messages[0] == messages[1] and messages[0].startswith(f"{fault}: ")
+    assert _witness_from_text.cache_info().currsize == 0
+
+
+def test_seventeen_witness_texts_evict_the_first(tmp_path, monkeypatch):
+    paths = [tmp_path / f"w{k}.json" for k in range(17)]
+    for k, path in enumerate(paths):
+        save_witness(Witness(dims=(2, 2), mat=(k + 1) * np.eye(4)), path)
+    _witness_from_text.cache_clear()
+    built = _counting_constructions(monkeypatch, Witness)
+    first = load_witness(paths[0])
+    assert load_witness(paths[0]) is first
+    for path in paths[1:]:
+        load_witness(path)
+    assert len(built) == 17
+    assert load_witness(paths[-1]) is load_witness(paths[-1])
+    again = load_witness(paths[0])
+    assert again is not first and np.array_equal(again.mat, first.mat)
+    assert len(built) == 18
+
+
+def test_state_file_is_validated_on_every_load(tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    save_state(fixture("paper_ppt_state"), path)
+    validated = _counting_constructions(monkeypatch, DensityMatrix)
+    first, second = load_state(path), load_state(path)
+    assert len(validated) == 2
+    assert first is not second and np.array_equal(first.mat, second.mat)
 
 
 def test_fixture_exact_entries():
