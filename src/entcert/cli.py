@@ -20,21 +20,19 @@ paused: the JSON trees a command decodes and prints (2,401 pairs for a
 7x7 ``twirl``) are acyclic and freed as they go, and collections of them
 cost a long-lived caller full-heap pauses.  Cyclic garbage waits until the
 call returns; the switch is process-wide.  The library's file functions
-are not paused.
+pause it too, but only while a JSON tree is alive.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import gc
 import json
 import sys
 from pathlib import Path
 
 from .errors import InvariantViolation, NumericalError
-from .io import fixture, load_state, load_witness, payload
+from .io import _collector_paused, fixture, load_state, load_witness, payload
 from .linalg import hermitian_eig, require
 from .measures import concurrence_pure, diagonal_twirl, dsep_pure, eof_pure, geometric_pure
 from .oracle import OracleConfig, dsep_upper
@@ -134,26 +132,6 @@ def _cmd_fixtures(args) -> int:
 def _cmd_twirl(args) -> int:
     _emit(args, payload(diagonal_twirl(load_state(args.state))), out=args.out)
     return 0
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector for the block, as ``timeit`` does.
-
-    A block entered with the collector already off changes nothing, so a
-    caller that disabled it keeps it disabled.  The switch is process-wide:
-    another thread's allocations go uncollected meanwhile, and a
-    ``gc.disable()`` made in another thread inside the block is undone when
-    the block ends.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
 
 
 @functools.cache

@@ -12,7 +12,11 @@ matrix is checked as every API array is, under the same invariant names.
 Both loaders read the file on every call.  A state's text is parsed and
 validated on every call too; a witness's text is parsed and validated once
 per process, as one witness is measured on many states, and up to 16 texts
-are kept with their witnesses (about 155 KB an entry at d = 7).
+are kept with their witnesses (about 155 KB an entry at d = 7).  The
+loaders and the savers pause the cyclic garbage collector while a JSON
+tree is alive, as ``entcert.cli.main`` does for a whole command: the tree
+holds no cycles and is freed before the pause ends, so its thousands of
+lists (about 2,450 for a 7x7 matrix) start no collection.
 ``payload`` is the only writer of the schema: the save functions, the CLI
 and the oracle's ``sigma`` all go through it.  Payloads are written with
 ``json.dumps``, whose shortest round-trip float repr keeps every value, the
@@ -24,7 +28,9 @@ constructors, and one rule rounds each to its exact entries n/15 and n/3.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import json
 import re
 from pathlib import Path
@@ -49,6 +55,26 @@ def payload(obj: DensityMatrix | Witness) -> dict:
         out["kind"] = "witness"
     out["matrix"] = complex_pairs(obj.mat)
     return out
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for the block, as ``timeit`` does.
+
+    A block entered with the collector already off changes nothing, so a
+    caller that disabled it keeps it disabled.  The switch is process-wide:
+    another thread's allocations go uncollected meanwhile, and a
+    ``gc.disable()`` made in another thread inside the block is undone when
+    the block ends.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class _Undecodable(Exception):
@@ -83,14 +109,18 @@ def _load(path, build):
     # ValueError covers UTF-8 decode errors
     except (OSError, ValueError) as exc:
         raise InvariantViolation(f"parse: cannot read {path}: {exc}") from exc
+    # the decoded tree is acyclic and freed before the pause ends, so it starts
+    # no collection and is never promoted to an older generation
     try:
-        return build(text)
+        with _collector_paused():
+            return build(text)
     except _Undecodable as exc:
         raise InvariantViolation(f"parse: cannot read {path}: {exc.__cause__}") from exc.__cause__
 
 
 def _save(obj: DensityMatrix | Witness, path) -> None:
-    Path(path).write_text(json.dumps(payload(obj), allow_nan=False) + "\n")
+    with _collector_paused():
+        Path(path).write_text(json.dumps(payload(obj), allow_nan=False) + "\n")
 
 
 def save_state(rho: DensityMatrix, path) -> None:
@@ -136,7 +166,9 @@ def load_witness(path) -> Witness:
     validated once per process: the last 16 texts are kept (least recently
     used first out), each with its ``Witness``, so a text read again returns
     the same frozen object.  An entry holds the text and the matrix, about
-    155 KB at d = 7 and 1.9 MB at d = 13.
+    65 bytes per matrix entry: 155 KB at d = 7 and 1.9 MB at d = 13.  The
+    bound counts texts, not bytes, so 16 large witnesses stay alive
+    together: about 840 MB for sixteen 900x900 ones.
     """
     return _load(path, _witness_from_text)
 

@@ -39,6 +39,13 @@ def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "entcert", *args], capture_output=True, text=True, timeout=300)
 
 
+def counting_constructions(monkeypatch, cls):
+    """Patch ``cls.__post_init__`` with a wrapper that counts its calls; returns the list it appends to."""
+    calls, check = [], cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda obj: calls.append(cls.__name__) or check(obj))
+    return calls
+
+
 # the fields of a certificate, in the order `entcert bound` prints them
 CERTIFICATE_KEYS = [
     "witness_value", "b_used", "dsep_lower", "certified", "concurrence_lower", "eof_lower", "geometric_lower"

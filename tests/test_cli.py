@@ -27,7 +27,8 @@ from entcert.cli import _build_parser, main
 from entcert.io import _witness_from_text, complex_pairs
 
 from conftest import (
-    CERTIFICATE_KEYS, EXTREME_WITNESSES, HUGE_COHERENCE_STATE, OVERFLOWING_STATES, random_density, run_cli
+    CERTIFICATE_KEYS, EXTREME_WITNESSES, HUGE_COHERENCE_STATE, OVERFLOWING_STATES, counting_constructions,
+    random_density, run_cli,
 )
 
 
@@ -444,8 +445,7 @@ def test_main_builds_each_witness_once(paper_files, monkeypatch, capsys):
         return call
 
     monkeypatch.setattr(cli, "mub_family", counted("mub_family"))
-    check = GeneratorSet.__post_init__
-    monkeypatch.setattr(GeneratorSet, "__post_init__", lambda gens: (built.append("GeneratorSet"), check(gens)))
+    generator_sets = counting_constructions(monkeypatch, GeneratorSet)
     cli._basis_witness.cache_clear()
 
     def stdout_of(*flags):
@@ -458,14 +458,14 @@ def test_main_builds_each_witness_once(paper_files, monkeypatch, capsys):
     assert built == [("mub_family", (3, 4)), ("mub_family", (3, 2))]
     built.clear()
     assert stdout_of("--spin") == stdout_of("--spin")
-    assert built == []  # the variance witness needs only d, read from the state: no Gell-Mann set is built
+    assert built == []
+    assert generator_sets == []  # the variance witness needs only d, read from the state: no Gell-Mann set is built
     assert not cli._basis_witness(3, 4).mat.flags.writeable
     assert built == []
-    check_witness = Witness.__post_init__
-    monkeypatch.setattr(Witness, "__post_init__", lambda w: (built.append("Witness"), check_witness(w)))
+    witnesses = counting_constructions(monkeypatch, Witness)
     _witness_from_text.cache_clear()
     assert stdout_of("--witness-file", str(witness)) == stdout_of("--witness-file", str(witness))
-    assert built == ["Witness"]  # the file's text is parsed and validated once
+    assert witnesses == ["Witness"]  # the file's text is parsed and validated once
 
 
 def test_console_script_runs_in_process(capsys):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import json
 import pickle
 
@@ -34,7 +35,7 @@ from entcert.linalg import PSD_TOL
 
 from conftest import (
     HUGE_COHERENCE_STATE, PAPER_MUB_WITNESS_THIRDS, PAPER_PPT_STATE_FIFTEENTHS, haar_unitary, haar_vector, random_density,
-    run_cli, symmetric_4x4,
+    counting_constructions, run_cli, symmetric_4x4,
 )
 
 
@@ -345,13 +346,6 @@ def test_witness_file_round_trip(tmp_path):
         load_witness(tmp_path / "s.json")
 
 
-def _counting_constructions(monkeypatch, cls):
-    """Patch ``cls.__post_init__`` with a wrapper that counts its calls."""
-    calls, check = [], cls.__post_init__
-    monkeypatch.setattr(cls, "__post_init__", lambda obj: calls.append(1) or check(obj))
-    return calls
-
-
 def test_rewritten_witness_file_gives_the_new_certificate(tmp_path, capsys):
     state, witness = tmp_path / "s.json", tmp_path / "w.json"
     save_state(fixture("paper_ppt_state"), state)
@@ -371,7 +365,7 @@ def test_witness_text_is_parsed_once_at_any_path(tmp_path, monkeypatch):
     for name in ("a.json", "b.json"):
         (tmp_path / name).write_text(text)
     _witness_from_text.cache_clear()
-    built = _counting_constructions(monkeypatch, Witness)
+    built = counting_constructions(monkeypatch, Witness)
     first = load_witness(tmp_path / "a.json")
     assert load_witness(tmp_path / "b.json") is first
     assert load_witness(tmp_path / "a.json") is first
@@ -414,7 +408,7 @@ def test_seventeen_witness_texts_evict_the_first(tmp_path, monkeypatch):
     for k, path in enumerate(paths):
         save_witness(Witness(dims=(2, 2), mat=(k + 1) * np.eye(4)), path)
     _witness_from_text.cache_clear()
-    built = _counting_constructions(monkeypatch, Witness)
+    built = counting_constructions(monkeypatch, Witness)
     first = load_witness(paths[0])
     assert load_witness(paths[0]) is first
     for path in paths[1:]:
@@ -429,10 +423,39 @@ def test_seventeen_witness_texts_evict_the_first(tmp_path, monkeypatch):
 def test_state_file_is_validated_on_every_load(tmp_path, monkeypatch):
     path = tmp_path / "s.json"
     save_state(fixture("paper_ppt_state"), path)
-    validated = _counting_constructions(monkeypatch, DensityMatrix)
+    validated = counting_constructions(monkeypatch, DensityMatrix)
     first, second = load_state(path), load_state(path)
     assert len(validated) == 2
     assert first is not second and np.array_equal(first.mat, second.mat)
+
+
+def test_file_functions_start_no_collection(tmp_path):
+    # a 7x7 file is a tree of about 2,450 lists; each function frees it before its collector pause ends
+    rho, w = fixture("bell(7)"), mub_witness(mub_family(7, 8), RotationSet.identity(7, 8))
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    _witness_from_text.cache_clear()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        save_state(rho, tmp_path / "s.json")
+        save_witness(w, tmp_path / "w.json")
+        load_state(tmp_path / "s.json")
+        load_witness(tmp_path / "w.json")
+    finally:
+        gc.callbacks.remove(record)
+    assert started == []
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        load_state(tmp_path / "s.json")
+        assert not gc.isenabled()  # a caller that disabled the collector keeps it disabled
+    finally:
+        gc.enable()
 
 
 def test_fixture_exact_entries():
