@@ -64,7 +64,7 @@ def _emit(args, doc: dict, out: str | None = None) -> None:
     text = json.dumps(doc, allow_nan=False) + "\n"
     if out:
         try:
-            Path(out).write_text(text)
+            Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise InvariantViolation(f"output: cannot write {out}: {exc.strerror or exc}") from exc
         _info(args, f"wrote {out}")

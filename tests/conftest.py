@@ -36,7 +36,7 @@ def collector_left_enabled():
 
 def run_cli(*args):
     """``python -m entcert`` with ``args`` in a fresh interpreter."""
-    return subprocess.run([sys.executable, "-m", "entcert", *args], capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", "entcert", *args], capture_output=True, encoding="utf-8", timeout=300)
 
 
 def counting_constructions(monkeypatch, cls):

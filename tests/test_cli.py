@@ -157,7 +157,7 @@ def test_bound_refuses_a_witness_file_that_is_no_witness(tmp_path, capsys):
 
 def test_bound_refuses_a_huge_coherence_by_name(tmp_path, capsys):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"dims": [2, 2], "matrix": complex_pairs(HUGE_COHERENCE_STATE)}))
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": complex_pairs(HUGE_COHERENCE_STATE)}), encoding="utf-8")
     assert main(["bound", "--state", str(path), "--spin"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -168,7 +168,7 @@ def test_bound_refuses_a_huge_coherence_by_name(tmp_path, capsys):
 def test_twirl_refuses_an_overflowing_state_by_name(tmp_path, capsys, case):
     mat, invariant = OVERFLOWING_STATES[case]
     path = tmp_path / "state.json"
-    path.write_text(json.dumps({"dims": [2, 2], "matrix": complex_pairs(mat)}))
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": complex_pairs(mat)}), encoding="utf-8")
     assert main(["twirl", "--state", str(path)]) == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -180,7 +180,7 @@ def test_bound_on_an_extreme_witness_file_prints_json_or_names_the_invariant(tmp
     mat, invariant, _ = EXTREME_WITNESSES[case]
     state, witness = tmp_path / "bell2.json", tmp_path / "w.json"
     save_state(fixture("bell(2)"), state)
-    witness.write_text(json.dumps({"dims": [2, 2], "kind": "witness", "matrix": complex_pairs(mat)}))
+    witness.write_text(json.dumps({"dims": [2, 2], "kind": "witness", "matrix": complex_pairs(mat)}), encoding="utf-8")
     code = main(["bound", "--state", str(state), "--witness-file", str(witness), "--quiet"])
     out = capsys.readouterr()
     if invariant:
@@ -199,7 +199,7 @@ def test_mub_witness_output(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["kind"] == "witness"
     assert payload["dims"] == [2, 2]
-    assert json.loads(out_path.read_text()) == payload
+    assert json.loads(out_path.read_text(encoding="utf-8")) == payload
     mat = np.array([[complex(re, im) for re, im in row] for row in payload["matrix"]])
     assert np.trace(mat).real == pytest.approx(2.0, abs=1e-12)
 
@@ -247,12 +247,12 @@ def test_quiet_silences_stderr(paper_files):
 
 def test_invalid_state_file(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dims": [2, 2], "matrix": [[[0.5, 0]] * 4] * 4}))
+    bad.write_text(json.dumps({"dims": [2, 2], "matrix": [[[0.5, 0]] * 4] * 4}), encoding="utf-8")
     proc = run_cli("pure", "--state", str(bad))
     assert proc.returncode == 1
     assert "trace" in proc.stderr or "hermiticity" in proc.stderr
     mixed = tmp_path / "bool.json"  # read as the state 1 if the boolean is taken for 1.0
-    mixed.write_text(json.dumps({"dims": [1, 1], "matrix": [[[True, 0.0]]]}))
+    mixed.write_text(json.dumps({"dims": [1, 1], "matrix": [[[True, 0.0]]]}), encoding="utf-8")
     proc = run_cli("twirl", "--state", str(mixed))
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("entcert: error: type:")
@@ -287,7 +287,7 @@ def test_unwritable_out_is_an_input_error(tmp_path, paper_files, capsys):
 
 def test_deeply_nested_file_is_parse_error(tmp_path, capsys):
     deep = tmp_path / "deep.json"
-    deep.write_text('{"dims": [2, 2], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    deep.write_text('{"dims": [2, 2], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
     assert main(["bound", "--spin", "--state", str(deep)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -405,7 +405,7 @@ def test_twirl_stdout_is_the_out_file_and_keeps_float_signs(tmp_path, paper_file
     out = tmp_path / "twirled.json"
     proc = run_cli("twirl", "--state", str(state), "--out", str(out), "--quiet")
     assert proc.returncode == 0
-    assert proc.stdout == out.read_text()
+    assert proc.stdout == out.read_text(encoding="utf-8")
     entries = [x for row in json.loads(proc.stdout)["matrix"] for pair in row for x in pair]
     assert all(isinstance(x, float) for x in entries)
     expected = diagonal_twirl(fixture("paper_ppt_state")).mat
@@ -470,7 +470,7 @@ def test_main_builds_each_witness_once(paper_files, monkeypatch, capsys):
 
 def test_console_script_runs_in_process(capsys):
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
-    project = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+    project = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
     module, _, attr = project["project"]["scripts"]["entcert"].partition(":")
     assert (module, attr) == ("entcert.cli", "main")
     assert getattr(importlib.import_module(module), attr)(["fixtures", "--name", "singlet", "--quiet"]) == 0

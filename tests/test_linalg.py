@@ -377,7 +377,7 @@ def test_a_file_names_a_fault_as_the_api_does(tmp_path, bad):
     valid, call = ARRAY_ARGUMENTS["DensityMatrix.mat"]
     path = tmp_path / "state.json"
     pairs = make(np.stack([valid.real, valid.imag], -1))
-    path.write_text(json.dumps({"dims": [2, 2], "matrix": pairs}, default=np.ndarray.tolist))
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": pairs}, default=np.ndarray.tolist), encoding="utf-8")
     with pytest.raises(error, match=f"^{invariant}: "):
         call(make(valid))
     with pytest.raises(error, match=f"^{invariant}: "):

@@ -519,13 +519,13 @@ def test_bare_fork_after_a_forked_call_exits_cleanly():
     )
     # on Python 3.12+ the probe's fork of a process with BLAS threads warns
     cmd = [sys.executable, "-W", "ignore::DeprecationWarning", "-c", probe]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(cmd, capture_output=True, encoding="utf-8", timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def _python(code, *flags):
     """stdout of ``code`` run in a fresh interpreter, which must exit 0."""
-    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -684,7 +684,7 @@ def test_concurrent_calls_keep_the_callers_blas_threads(rng):
 
 def _alive(pid):
     try:
-        with open(f"/proc/{pid}/stat") as stat:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as stat:
             return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
     except FileNotFoundError:
         return False
@@ -700,7 +700,7 @@ def test_restart_children_exit_with_their_parent():
         "oracle._run_restart = lambda *args: os.write(1, b'%d\\n' % os.getpid()) and time.sleep(120)\n"
         f"dsep_upper(fixture('bell(2)'), {FORKED!r})"
     )
-    with subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True) as parent:
+    with subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, encoding="utf-8") as parent:
         try:
             # every process of the call reports once: the caller, running its share, and each child
             pids = {int(parent.stdout.readline()) for _ in range(children + 1)}

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import json
 import pickle
 
@@ -30,8 +31,8 @@ from entcert import (
     singlet_state,
 )
 from entcert.cli import main
-from entcert.io import _witness_from_text, complex_pairs, payload
-from entcert.linalg import PSD_TOL
+from entcert.io import _orjson_payload, _witness_from_text, complex_pairs, parse_matrix_payload, payload
+from entcert.linalg import PSD_TOL, as_array
 
 from conftest import (
     HUGE_COHERENCE_STATE, PAPER_MUB_WITNESS_THIRDS, PAPER_PPT_STATE_FIFTEENTHS, haar_unitary, haar_vector, random_density,
@@ -265,7 +266,7 @@ def test_load_maximally_mixed(tmp_path):
         "matrix": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)],
     }
     path = tmp_path / "mm.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     rho = load_state(path)
     assert np.array_equal(rho.mat, np.eye(4) / 4)
 
@@ -276,14 +277,14 @@ def test_load_rejects_bad_trace(tmp_path):
         "matrix": [[[0.225 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)],
     }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(InvariantViolation, match="trace"):
         load_state(path)
 
 
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "garbage.json"
-    path.write_text("{not json")
+    path.write_text("{not json", encoding="utf-8")
     with pytest.raises(InvariantViolation, match="parse"):
         load_state(path)
 
@@ -291,7 +292,7 @@ def test_load_rejects_garbage(tmp_path):
 def test_load_rejects_deep_nesting(tmp_path):
     # json.loads raises RecursionError, not ValueError, past its nesting limit
     path = tmp_path / "deep.json"
-    path.write_text('{"dims": [2, 2], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    path.write_text('{"dims": [2, 2], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
     with pytest.raises(InvariantViolation, match="^parse: cannot read .*recursion"):
         load_state(path)
 
@@ -303,7 +304,7 @@ def test_load_rejects_missing_file(tmp_path):
 
 def test_load_rejects_malformed_rows(tmp_path):
     path = tmp_path / "rows.json"
-    path.write_text(json.dumps({"dims": [2, 2], "matrix": [[1, 2], [3, 4]]}))
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": [[1, 2], [3, 4]]}), encoding="utf-8")
     with pytest.raises(InvariantViolation):
         load_state(path)
 
@@ -311,7 +312,7 @@ def test_load_rejects_malformed_rows(tmp_path):
 def test_load_rejects_boolean_dims(tmp_path):
     # operator.index takes True as 1
     path = tmp_path / "bool_dims.json"
-    path.write_text(json.dumps({"dims": [True, True], "matrix": [[[1.0, 0.0]]]}))
+    path.write_text(json.dumps({"dims": [True, True], "matrix": [[[1.0, 0.0]]]}), encoding="utf-8")
     with pytest.raises(InvariantViolation, match="^dims:"):
         load_state(path)
     with pytest.raises(InvariantViolation, match="^dims:"):
@@ -320,12 +321,12 @@ def test_load_rejects_boolean_dims(tmp_path):
 
 def test_load_rejects_boolean_entries(tmp_path):
     path = tmp_path / "bool_entries.json"
-    path.write_text(json.dumps({"dims": [1, 1], "matrix": [[[True, False]]]}))
+    path.write_text(json.dumps({"dims": [1, 1], "matrix": [[[True, False]]]}), encoding="utf-8")
     with pytest.raises(InvariantViolation, match=r"^type: non-numeric entries \(bool\) in matrix$"):
         load_state(path)
     # np.array casts a boolean beside a number to 1.0 or 0.0, which would load as the state 1
     for pair in ([True, 0.0], [1.0, False]):
-        path.write_text(json.dumps({"dims": [1, 1], "matrix": [[pair]]}))
+        path.write_text(json.dumps({"dims": [1, 1], "matrix": [[pair]]}), encoding="utf-8")
         with pytest.raises(InvariantViolation, match="^type: bool entries in matrix$"):
             load_state(path)
 
@@ -363,7 +364,7 @@ def test_rewritten_witness_file_gives_the_new_certificate(tmp_path, capsys):
 def test_witness_text_is_parsed_once_at_any_path(tmp_path, monkeypatch):
     text = json.dumps(payload(fixture("paper_mub_witness")))
     for name in ("a.json", "b.json"):
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     _witness_from_text.cache_clear()
     built = counting_constructions(monkeypatch, Witness)
     first = load_witness(tmp_path / "a.json")
@@ -456,6 +457,201 @@ def test_file_functions_start_no_collection(tmp_path):
         assert not gc.isenabled()  # a caller that disabled the collector keeps it disabled
     finally:
         gc.enable()
+
+
+def _reference_parse(text):
+    """``parse_matrix_payload`` as it decoded every text with ``json.loads`` alone."""
+    doc = json.loads(text)
+    pairs = as_array(doc["matrix"], 3, "matrix", float)
+    return doc["dims"], pairs.view(np.complex128)[..., 0], doc.get("kind")
+
+
+def _parsed_or_refused(parse, text):
+    try:
+        dims, mat, kind = parse(text)
+    except InvariantViolation as exc:
+        return "refused", str(exc)
+    return dims, kind, mat.dtype, mat.tobytes()
+
+
+def test_orjson_decode_equals_json_bit_for_bit():
+    rng = np.random.default_rng(30)
+    bits = rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([
+        bits[np.isfinite(bits)],
+        rng.standard_normal(4000) * 10.0 ** rng.uniform(-20, 20, 4000),
+        rng.uniform(-1, 1, 2000),
+    ])
+    small = values[np.abs(values) < 2.0**63]
+    large = values[np.abs(values) >= 2.0**63]
+    texts, fast = [], 0
+    for fmt in (repr, "%.17g".__mod__, "%.25e".__mod__, "%.40f".__mod__):
+        for chunk in [*np.array_split(small, 40), *np.array_split(large, 10)]:
+            pairs = chunk[: len(chunk) // 2 * 2].reshape(-1, 2).tolist()
+            entries = ", ".join(f"[{fmt(x)}, {fmt(y)}]" for x, y in pairs)
+            texts.append(f'{{"dims": [1, 1], "matrix": [[{entries}]]}}')
+            fast += _orjson_payload(texts[-1]) is not None
+    # the subnormal minimum, just above half of it, the normal minimum, the float maximum and past its
+    # midpoint, both zeros, and integers at and beyond 64 bits, beside a float and beside an int
+    edges = [
+        "5e-324", "2.4703282292062328e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
+        "1.7976931348623158e308", "-0.0", "-0", str(2**63 - 1), str(2**63), str(2**64), str(10**30),
+    ]
+    texts += [f'{{"dims": [1, 1], "matrix": [[[{edge}, {other}]]]}}' for edge in edges for other in ("0.5", "1")]
+    for text in texts:
+        assert _parsed_or_refused(parse_matrix_payload, text) == _parsed_or_refused(_reference_parse, text)
+    # every chunk of entries below 2^63 in magnitude is decoded by orjson, none of the others
+    assert fast == 4 * 40
+
+
+# Files the loaders refuse, with every text that orjson decodes otherwise than json.loads or refuses where
+# json.loads accepts: (exception, message, cause) or ("ok", dims, matrix digest) from load_state, then
+# from load_witness, as recorded when json.loads decoded every file; {path} stands for the file's path
+DEEP = 100_000
+_ONE = '{"dims": [1, 1], "matrix": [[[%s, 0.0]]]}'
+_KIND = "kind: expected a witness file (kind='witness'), got None"
+_READ = "parse: cannot read {path}: "
+_RECURSION = _READ + "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+LOADER_OUTCOMES = {
+    "missing": 2 * [("InvariantViolation", _READ + "[Errno 2] No such file or directory: '{path}'", "FileNotFoundError")],
+    "directory": 2 * [("InvariantViolation", _READ + "[Errno 21] Is a directory: '{path}'", "IsADirectoryError")],
+    "non-utf8": 2 * [(
+        "InvariantViolation", _READ + "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        "UnicodeDecodeError",
+    )],
+    "bad-json": 2 * [(
+        "InvariantViolation", _READ + "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        "JSONDecodeError",
+    )],
+    "empty": 2 * [("InvariantViolation", _READ + "Expecting value: line 1 column 1 (char 0)", "JSONDecodeError")],
+    "deep-100000": 2 * [("InvariantViolation", _RECURSION, "RecursionError")],
+    "deep-900": 2 * [("InvariantViolation", "shape: ragged nesting in matrix", "ValueError")],
+    "deep-beside-matrix": 2 * [("InvariantViolation", _RECURSION, "RecursionError")],
+    "digits-5000": 2 * [(
+        "InvariantViolation",
+        _READ + "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+        "use sys.set_int_max_str_digits() to increase the limit",
+        "ValueError",
+    )],
+    "digits-30-matrix": 2 * [("InvariantViolation", "type: non-numeric entries (object) in matrix", None)],
+    "digits-30-dims": [
+        (
+            "DimensionMismatch",
+            "dims: matrix is (1, 1), dims (123456789012345678901234567890, 1) require "
+            "(123456789012345678901234567890, 123456789012345678901234567890)",
+            None,
+        ),
+        ("InvariantViolation", _KIND, None),
+    ],
+    "digits-30-kind": [
+        ("ok", [1, 1], "3239b05c38b825eb"),
+        ("InvariantViolation", "kind: expected a witness file (kind='witness'), got 123456789012345678901234567890", None),
+    ],
+    "u64": [
+        ("InvariantViolation", "trace: |Tr(rho) - 1| = 1.845e+19 exceeds 1.0e-10", None),
+        ("InvariantViolation", _KIND, None),
+    ],
+    "non-object": 2 * [("InvariantViolation", "parse: payload must be an object with 'dims' and 'matrix'", None)],
+    "pairs-3": 2 * [(
+        "InvariantViolation", "shape: matrix entries must be [re, im] pairs, got shape (1, 1, 3)", None
+    )],
+    "bools": 2 * [("InvariantViolation", "type: non-numeric entries (bool) in matrix", None)],
+    "strings": 2 * [("InvariantViolation", "type: non-numeric entries (<U1) in matrix", None)],
+    "nan": 2 * [("InvariantViolation", "finiteness: NaN or Inf entries in matrix", None)],
+    "infinity": 2 * [("InvariantViolation", "finiteness: NaN or Inf entries in matrix", None)],
+    "1e400": 2 * [("InvariantViolation", "finiteness: NaN or Inf entries in matrix", None)],
+    "1e99999999999": 2 * [("InvariantViolation", "finiteness: NaN or Inf entries in matrix", None)],
+    "surrogate-kind": [
+        ("ok", [1, 1], "3239b05c38b825eb"),
+        ("InvariantViolation", "kind: expected a witness file (kind='witness'), got '\\ud800'", None),
+    ],
+    "bom": 2 * [(
+        "InvariantViolation", _READ + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        "JSONDecodeError",
+    )],
+    "duplicate-keys": [("ok", [1, 1], "3239b05c38b825eb"), ("InvariantViolation", _KIND, None)],
+    "wrong-dims": [
+        ("DimensionMismatch", "dims: matrix is (3, 3), dims (2, 2) require (4, 4)", None),
+        ("InvariantViolation", _KIND, None),
+    ],
+    "non-hermitian": [
+        ("InvariantViolation", "kind: file holds a witness, not a state", None),
+        ("InvariantViolation", "hermiticity: witness matrix has max |A - A^dag| = 2.500e-01 exceeds 1.0e-10", None),
+    ],
+    "zero": [
+        ("InvariantViolation", "trace: |Tr(rho) - 1| = 1.000e+00 exceeds 1.0e-10", None),
+        ("InvariantViolation", _KIND, None),
+    ],
+    "state": [("ok", [2, 2], "832850bd37d90567"), ("InvariantViolation", _KIND, None)],
+    "witness": [("InvariantViolation", "kind: file holds a witness, not a state", None), ("ok", [3, 3], "d6594ff975c475c5")],
+}
+
+
+def _loader_corpus():
+    """The content of each corpus file: its text, its bytes, ``...`` for a directory or None for no file."""
+    state = json.dumps(payload(fixture("bell(2)")))
+    skew = np.eye(2) / 2
+    skew[0, 1] = 0.25
+    return {
+        "missing": None,
+        "directory": ...,
+        "non-utf8": b"\xff" + state.encode(),
+        "bad-json": "{not json",
+        "empty": "",
+        "deep-100000": '{"dims": [2, 2], "matrix": ' + "[" * DEEP + "]" * DEEP + "}",
+        "deep-900": '{"dims": [2, 2], "matrix": ' + "[" * 900 + "]" * 900 + "}",
+        "deep-beside-matrix": state[:-1] + ', "extra": ' + "[" * DEEP + "]" * DEEP + "}",
+        "digits-5000": _ONE % ("1" * 5000),
+        "digits-30-matrix": _ONE % "123456789012345678901234567890",
+        "digits-30-dims": '{"dims": [123456789012345678901234567890, 1], "matrix": [[[1.0, 0.0]]]}',
+        "digits-30-kind": '{"dims": [1, 1], "kind": 123456789012345678901234567890, "matrix": [[[1.0, 0.0]]]}',
+        "u64": _ONE % "18446744073709551615",
+        "non-object": "[1, 2]",
+        "pairs-3": '{"dims": [1, 1], "matrix": [[[1.0, 0.0, 0.0]]]}',
+        "bools": '{"dims": [1, 1], "matrix": [[[true, false]]]}',
+        "strings": '{"dims": [1, 1], "matrix": [[["1", "0"]]]}',
+        "nan": _ONE % "NaN",
+        "infinity": _ONE % "Infinity",
+        "1e400": _ONE % "1e400",
+        "1e99999999999": _ONE % "1e99999999999",
+        "surrogate-kind": '{"dims": [1, 1], "kind": "\\ud800", "matrix": [[[1.0, 0.0]]]}',
+        "bom": "﻿" + state,
+        "duplicate-keys": '{"dims": [1, 1], "matrix": [[[2.0, 0.0]]], "matrix": [[[1.0, 0.0]]]}',
+        "wrong-dims": json.dumps({"dims": [2, 2], "matrix": complex_pairs(np.eye(3) / 3)}),
+        "non-hermitian": json.dumps({"dims": [1, 2], "kind": "witness", "matrix": complex_pairs(skew)}),
+        "zero": json.dumps({"dims": [2, 2], "matrix": complex_pairs(np.zeros((4, 4)))}),
+        "state": state,
+        "witness": json.dumps(payload(fixture("paper_mub_witness"))),
+    }
+
+
+def _load_outcome(load, path):
+    try:
+        obj = load(path)
+    except Exception as exc:
+        cause = exc.__cause__
+        return type(exc).__name__, str(exc).replace(str(path), "{path}"), cause and type(cause).__name__
+    return "ok", list(obj.dims), hashlib.sha256(obj.mat.tobytes()).hexdigest()[:16]
+
+
+def test_loaders_refuse_the_corpus_as_json_did(tmp_path):
+    corpus = _loader_corpus()
+    assert corpus.keys() == LOADER_OUTCOMES.keys()
+    _witness_from_text.cache_clear()
+    for name, content in corpus.items():
+        path = tmp_path / f"{name}.json"
+        if content is ...:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content, encoding="utf-8")
+        outcomes = []
+        for load in (load_state, load_witness):
+            first = _load_outcome(load, path)
+            assert _load_outcome(load, path) == first, name  # the second witness load hits the cache
+            outcomes.append(first)
+        assert outcomes == LOADER_OUTCOMES[name], name
 
 
 def test_fixture_exact_entries():
