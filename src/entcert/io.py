@@ -13,7 +13,11 @@ Files are read and written as UTF-8, whatever the locale.  A text is
 decoded by ``orjson`` when a screen shows that ``json.loads`` would give
 the same tree, and by ``json.loads`` otherwise, so a file loads to the
 same bytes and is refused with the same message either way; orjson takes
-about a quarter of ``json.loads``'s time on a 7x7 state.
+about a quarter of ``json.loads``'s time on a 7x7 state.  The screen reads
+orjson's matrix into an array in one walk, the only code that knows the
+tree's shape; ``as_array`` then takes that array, or ``json.loads``'s
+lists, through its one ``np.asarray``.  orjson is imported on the first
+decode, so ``import entcert`` and the savers never load it.
 Both loaders read the file on every call.  A state's text is parsed and
 validated on every call too; a witness's text is parsed and validated once
 per process, as one witness is measured on many states, and up to 16 texts
@@ -37,14 +41,14 @@ import contextlib
 import functools
 import gc
 import json
+import operator
 import re
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 from .errors import InvariantViolation
-from .linalg import _walked_array, as_array
+from .linalg import as_array
 from .states import DensityMatrix, bell_state, singlet_state
 from .witnesses import RotationSet, Witness, mub_family, mub_witness
 
@@ -91,6 +95,25 @@ class _Undecodable(Exception):
 _REQUIRED_KEYS, _SCHEMA_KEYS = frozenset(("dims", "matrix")), frozenset(("dims", "matrix", "kind"))
 
 
+def _walked_array(matrix) -> np.ndarray | None:
+    """``np.asarray(matrix)`` from one walk of a decoded JSON matrix: ``list`` nesting exactly 3 deep, each level of
+    one nonzero length, whose leaves are all exactly ``float`` or ``int``; None for anything else."""
+    shape, level = [], [matrix]
+    for _ in range(3):
+        if set(map(type, level)) != {list}:
+            return None
+        lengths = set(map(len, level))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        level = functools.reduce(operator.iadd, level, [])  # extends one new list, in C
+    kinds = set(map(type, level))
+    if not kinds <= {float, int}:
+        return None
+    # np.array discovers the dtype that ints need; floats alone are float64
+    return np.array(level, float if kinds == {float} else None).reshape(shape)
+
+
 def _orjson_payload(text: str) -> tuple[object, np.ndarray, str | None] | None:
     """(dims, walked matrix, kind) from ``orjson.loads(text)`` when ``json.loads`` returns the same tree, else None.
 
@@ -102,6 +125,8 @@ def _orjson_payload(text: str) -> tuple[object, np.ndarray, str | None] | None:
     magnitude at least 2^63 sends the text to json.  It refuses NaN,
     Infinity, overflowing floats and lone surrogates, which json accepts.
     """
+    import orjson
+
     try:
         doc = orjson.loads(text)
     except orjson.JSONDecodeError:
@@ -113,7 +138,7 @@ def _orjson_payload(text: str) -> tuple[object, np.ndarray, str | None] | None:
         return None
     if kind is not None and type(kind) is not str:
         return None
-    pairs = _walked_array(doc["matrix"], 3)
+    pairs = _walked_array(doc["matrix"])
     if pairs is None or pairs.dtype.kind not in "iuf":
         return None
     if pairs.dtype.kind == "f" and not np.abs(pairs).max() < 2.0**63:
@@ -142,7 +167,7 @@ def parse_matrix_payload(text: str) -> tuple[object, np.ndarray, str | None]:
             raise InvariantViolation("parse: payload must be an object with 'dims' and 'matrix'")
         decoded = doc["dims"], doc["matrix"], doc.get("kind")
     dims, entries, kind = decoded
-    # an array from orjson's tree is the walk's array, which as_array takes as it is
+    # an array from orjson's tree is the walk's array, which np.asarray in as_array takes as it is
     pairs = as_array(entries, 3, "matrix", float)
     if pairs.shape[-1] != 2:
         raise InvariantViolation(f"shape: matrix entries must be [re, im] pairs, got shape {pairs.shape}")

@@ -99,7 +99,8 @@ def concurrence_pure(lam: SchmidtVector) -> float:
 def eof_pure(lam: SchmidtVector) -> float:
     """Entropy of entanglement - sum lam_i log2 lam_i in bits (0 log 0 = 0)."""
     c = lam.coeffs[lam.coeffs > 0.0]
-    return float(-np.sum(c * np.log2(c)))
+    # + 0.0 turns the -0.0 of a product state, -sum(1 log2 1), into 0.0 and leaves every other value as it is
+    return float(-np.sum(c * np.log2(c)) + 0.0)
 
 
 def geometric_pure(lam: SchmidtVector) -> float:

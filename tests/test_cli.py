@@ -97,6 +97,15 @@ def test_pure_bell_values(tmp_path):
     assert out["schmidt"] == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
+def test_pure_product_state_prints_a_positive_zero(tmp_path):
+    path = tmp_path / "product.json"
+    save_state(DensityMatrix(dims=(2, 3), mat=np.diag([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])), path)
+    proc = run_cli("pure", "--state", str(path), "--quiet")
+    assert proc.returncode == 0
+    assert '"eof": 0.0,' in proc.stdout
+    assert json.loads(proc.stdout)["schmidt"] == [1.0, 0.0]
+
+
 def test_pure_rejects_mixed_state(paper_files):
     state, _ = paper_files
     proc = run_cli("pure", "--state", str(state))

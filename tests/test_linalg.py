@@ -36,7 +36,8 @@ from entcert import (
     verify_generator_identities,
 )
 from entcert.generators import swap_operator
-from entcert.linalg import _walked_array, as_array, bipartite_dims, hermitian_part
+from entcert.io import _walked_array
+from entcert.linalg import as_array, bipartite_dims, hermitian_part
 
 from conftest import HUGE_COHERENCE_STATE, OVERFLOWING_STATES, haar_unitary, random_hermitian
 
@@ -396,7 +397,7 @@ def test_bool_leaves_are_refused(entries):
         as_array(entries, np.ndim(entries), "x", float)
 
 
-# nested lists and tuples of Python numbers: each is read in one walk of its nesting
+# nested lists and tuples of Python numbers, which as_array reads through np.asarray
 WALKED_ENTRIES = {
     "floats": [[0.5, -0.0], [1e-300, -2.5e300]],
     "ints": [[1, -2], [3, 2**62]],
@@ -409,31 +410,43 @@ WALKED_ENTRIES = {
     "tuples": ((1.0, 2.0), (3.0, 4.0)),
     "vector": [0.5, 1, -0.0],
     "[re, im]-pairs": [[[0.25, -0.0], [0.0, 1e-17]], [[0.0, -1e-17], [0.75, 0.0]]],
+    "int-pairs": [[[1, -2], [3, 2**62]]],
+    "uint64-range-int-pairs": [[[2**63, 1], [2, 3]]],
+    "int-float-pairs": [[[1, 2.5], [3, -0.0]]],
 }
+# the cases shaped as a decoded file matrix (lists 3 deep, float or int leaves), which io's walk also reads
+JSON_SHAPED = {"[re, im]-pairs", "int-pairs", "uint64-range-int-pairs", "int-float-pairs"}
 
 
 @pytest.mark.parametrize("name", WALKED_ENTRIES)
 def test_the_walk_gives_what_np_asarray_gives(name):
     entries = WALKED_ENTRIES[name]
     ndim = np.ndim(entries)
-    walked, reference = _walked_array(entries, ndim), np.asarray(entries)
-    assert (walked.dtype, walked.shape, walked.tobytes()) == (reference.dtype, reference.shape, reference.tobytes())
+    reference = np.asarray(entries)
     dtype = np.complex128 if reference.dtype.kind == "c" else np.float64
     assert as_array(entries, ndim, "x", dtype).tobytes() == reference.astype(dtype).tobytes()
+    if name in JSON_SHAPED:
+        walked = _walked_array(entries)
+        assert (walked.dtype, walked.shape, walked.tobytes()) == (reference.dtype, reference.shape, reference.tobytes())
 
 
-@pytest.mark.parametrize("entries, ndim", [
-    ([[1.0, 2.0], [3.0]], 2),
-    ([[1.0, True]], 2),
-    ([[1.0, np.float64(2.0)]], 2),
-    ([[1.0, "2"]], 2),
-    ([[1.0, 2.0]], 1),
-    ([1.0, 2.0], 2),
-    ([[]], 2),
-    ([[1.0], (2.0,), np.array([3.0])], 2),
-], ids=["ragged", "bool", "numpy-scalar", "string", "too-deep", "too-shallow", "empty", "array-row"])
-def test_the_walk_leaves_every_other_input_to_np_asarray(entries, ndim):
-    assert _walked_array(entries, ndim) is None
+# a file matrix one fault away from the walk's shape; the tuple and complex cases are those above, one level deeper
+@pytest.mark.parametrize("entries", [
+    [[[1.0, 2.0], [3.0]]],
+    [[[1.0, True]]],
+    [[[1.0, np.float64(2.0)]]],
+    [[[1.0, "2"]]],
+    [[[[1.0, 2.0]]]],
+    [[1.0, 2.0]],
+    [[[]]],
+    [[[1.0], (2.0,), np.array([3.0])]],
+    *([WALKED_ENTRIES[name]] for name in ("tuples", "complex", "int-complex", "float-complex", "int-float-complex")),
+], ids=[
+    "ragged", "bool", "numpy-scalar", "string", "too-deep", "too-shallow", "empty", "array-row",
+    "tuples", "complex", "int-complex", "float-complex", "int-float-complex",
+])
+def test_the_walk_leaves_every_other_input_to_np_asarray(entries):
+    assert _walked_array(entries) is None
 
 
 def test_ints_beyond_the_int_range_are_refused_on_the_walk():

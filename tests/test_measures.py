@@ -147,6 +147,8 @@ def test_pure_measures_bell():
 def test_pure_measures_product():
     lam = sv(1.0)
     assert concurrence_pure(lam) == 0.0
+    # -0.0 == 0.0, so the sign is checked apart: -sum(1 log2 1) is -0.0 unless it is cleared
+    assert math.copysign(1.0, eof_pure(lam)) == 1.0
     assert eof_pure(lam) == 0.0
     assert geometric_pure(lam) == 0.0
 

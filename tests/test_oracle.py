@@ -718,8 +718,9 @@ def test_restart_children_exit_with_their_parent():
 
 
 def test_import_and_forked_call_load_no_multiprocessing():
-    # multiprocessing and concurrent.futures take about 20 ms to import (2-core x86); neither import nor a call pays
-    imported = "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    # multiprocessing and concurrent.futures take about 20 ms to import (2-core x86) and orjson 3-7 ms, which
+    # only a file decode needs; neither import nor a call pays for any of them
+    imported = "print(sorted({'multiprocessing', 'concurrent.futures', 'orjson'} & set(sys.modules)))"
     probe = f"import sys; from entcert import *\n{imported}\ndsep_upper(fixture('bell(2)'), {FORKED!r})\n{imported}"
     assert _python(probe) == "[]\n[]\n"
 

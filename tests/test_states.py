@@ -474,7 +474,26 @@ def _parsed_or_refused(parse, text):
     return dims, kind, mat.dtype, mat.tobytes()
 
 
-def test_orjson_decode_equals_json_bit_for_bit():
+def _package_texts(tmp_path):
+    """The texts the savers write for the paper's witness and, at d = 3, 5 and 7, for the Bell state, a
+    Wishart state and the identity-rotation basis witness with d + 1 bases."""
+    rng = np.random.default_rng(31)
+    objects = [fixture("paper_mub_witness")]
+    for d in (3, 5, 7):
+        objects += [
+            fixture(f"bell({d})"),
+            DensityMatrix(dims=(d, d), mat=random_density(rng, d * d)),
+            mub_witness(mub_family(d, d + 1), RotationSet.identity(d, d + 1)),
+        ]
+    path = tmp_path / "file.json"
+    texts = []
+    for obj in objects:
+        (save_witness if isinstance(obj, Witness) else save_state)(obj, path)
+        texts.append(path.read_text(encoding="utf-8"))
+    return texts
+
+
+def test_orjson_decode_equals_json_bit_for_bit(tmp_path):
     rng = np.random.default_rng(30)
     bits = rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)
     values = np.concatenate([
@@ -498,10 +517,13 @@ def test_orjson_decode_equals_json_bit_for_bit():
         "1.7976931348623158e308", "-0.0", "-0", str(2**63 - 1), str(2**63), str(2**64), str(10**30),
     ]
     texts += [f'{{"dims": [1, 1], "matrix": [[[{edge}, {other}]]]}}' for edge in edges for other in ("0.5", "1")]
-    for text in texts:
+    package = _package_texts(tmp_path)
+    for text in texts + package:
         assert _parsed_or_refused(parse_matrix_payload, text) == _parsed_or_refused(_reference_parse, text)
     # every chunk of entries below 2^63 in magnitude is decoded by orjson, none of the others
     assert fast == 4 * 40
+    # so is every file the package writes, which json.loads and np.asarray would read far slower
+    assert all(_orjson_payload(text) is not None for text in package)
 
 
 # Files the loaders refuse, with every text that orjson decodes otherwise than json.loads or refuses where
