@@ -31,7 +31,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import InvariantViolation, NumericalError
+from .errors import DimensionMismatch, InvariantViolation, NumericalError
 from .io import _collector_paused, fixture, load_state, load_witness, payload
 from .linalg import hermitian_eig, require
 from .measures import concurrence_pure, diagonal_twirl, dsep_pure, eof_pure, geometric_pure
@@ -39,6 +39,7 @@ from .oracle import OracleConfig, dsep_upper
 from .states import PureState, schmidt
 from .witnesses import (
     RotationSet,
+    _mub_arguments,
     generic_bound,
     mub_bound,
     mub_family,
@@ -62,7 +63,7 @@ def _info(args, text: str) -> None:
 
 def _emit(args, doc: dict, out: str | None = None) -> None:
     text = json.dumps(doc, allow_nan=False) + "\n"
-    if out:
+    if out is not None:
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
@@ -83,7 +84,9 @@ def _cmd_bound(args) -> int:
     if args.witness_file:
         cert = generic_bound(load_witness(args.witness_file), rho)
     elif args.mub:
-        d, count = args.mub
+        d, count = _mub_arguments(*args.mub)
+        if rho.dims != (d, d):  # before the witness is built: its size grows as d^4
+            raise DimensionMismatch(f"dims: witness {(d, d)} vs state {rho.dims}")
         cert = mub_bound(_basis_witness(d, count), count, rho)
     else:
         cert = spin_bound(rho)

@@ -2,7 +2,8 @@
 
 Hilbert-Schmidt inner products and norms, Kronecker products (columnwise
 too, ``product_columns``), partial trace/transpose over a bipartite
-splitting, Hermitian eigendecomposition and SVD, plus the one checking path: ``as_integer``, ``as_real`` and
+splitting, Hermitian eigendecomposition and SVD, plus the one checking path: ``require_type`` refuses an
+object of the wrong class, ``as_integer``, ``as_real`` and
 ``as_array`` coerce integers, real scalars and arrays of every rank (file
 matrices too, which ``io`` hands over as arrays), every array through one
 ``np.asarray``, ``bipartite_array`` is the one comparison of an array's
@@ -64,6 +65,12 @@ class Checked:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+
+def require_type(value, cls: type, what: str) -> None:
+    """Refuse a ``value`` that is not a ``cls``, such as a witness passed where a state goes."""
+    if not isinstance(value, cls):
+        raise InvariantViolation(f"type: {what} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def as_integer(value, what: str, least: int) -> int:

@@ -21,7 +21,7 @@ bounds on concurrence and entanglement of formation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,12 +32,21 @@ from .states import DensityMatrix, PureState, SchmidtVector, schmidt
 
 @dataclass(frozen=True)
 class MeasureBounds:
-    """Lower bounds on the three measures derived from one distance bound."""
+    """Lower bounds on the three measures, derived from ``dsep_lower`` alone as ``bounds_from_dsep`` describes."""
 
     dsep_lower: float
-    concurrence_lower: float
-    eof_lower: float       # bits
-    geometric_lower: float
+    concurrence_lower: float = field(init=False)
+    eof_lower: float = field(init=False)       # bits
+    geometric_lower: float = field(init=False)  # heuristic, see ``bounds_from_dsep``
+
+    def __post_init__(self):
+        dsep = as_real(self.dsep_lower, "range")
+        if not 0.0 <= dsep < 1.0:
+            raise InvariantViolation(f"range: distance bound must lie in [0, 1), got {dsep:.6g}")
+        d_sq = dsep * dsep
+        for name, value in {"dsep_lower": dsep, "concurrence_lower": math.sqrt(2.0) * dsep,
+                            "eof_lower": -math.log1p(-d_sq) / math.log(2.0), "geometric_lower": d_sq}.items():
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         # the keys and values of dataclasses.asdict, without its recursive deep copy
@@ -109,7 +118,7 @@ def geometric_pure(lam: SchmidtVector) -> float:
 
 
 def bounds_from_dsep(dsep_lower: float) -> MeasureBounds:
-    """Measure bounds implied by a distance lower bound.
+    """Measure bounds implied by a distance lower bound: ``MeasureBounds(dsep_lower)``.
 
     concurrence >= sqrt(2) * dsep and EoF >= -log2(1 - dsep^2) bits are
     sound certificates.  The geometric value dsep^2 is reported for
@@ -118,15 +127,4 @@ def bounds_from_dsep(dsep_lower: float) -> MeasureBounds:
     maximally entangled states), so treat ``geometric_lower`` as a
     heuristic.  Requires 0 <= dsep < 1.
     """
-    dsep_lower = as_real(dsep_lower, "range")
-    if not 0.0 <= dsep_lower < 1.0:
-        raise InvariantViolation(
-            f"range: distance bound must lie in [0, 1), got {dsep_lower:.6g}"
-        )
-    d_sq = dsep_lower * dsep_lower
-    return MeasureBounds(
-        dsep_lower=dsep_lower,
-        concurrence_lower=math.sqrt(2.0) * dsep_lower,
-        eof_lower=-math.log1p(-d_sq) / math.log(2.0),
-        geometric_lower=d_sq,
-    )
+    return MeasureBounds(dsep_lower)

@@ -40,7 +40,7 @@ from numpy.linalg._umath_linalg import eigh_lo, solve1
 
 from .errors import InvariantViolation, NumericalError
 from .io import complex_pairs, payload
-from .linalg import PSD_TOL, as_integer, as_real, hermitian_eig, partial_transpose, product_columns
+from .linalg import PSD_TOL, as_integer, as_real, hermitian_eig, partial_transpose, product_columns, require_type
 from .states import DensityMatrix
 
 _WEIGHT_FLOOR = 1e-14
@@ -49,6 +49,7 @@ _REFINE_ROUNDS = 3  # alternating eigenvector rounds per candidate in _top_produ
 
 def ppt_check(rho: DensityMatrix) -> tuple[bool, float]:
     """Whether the partial transpose is PSD, plus its minimum eigenvalue."""
+    require_type(rho, DensityMatrix, "state")
     pt = partial_transpose(rho.mat, rho.dims, on="B")
     lo = float(hermitian_eig(pt)[0][0])
     return lo >= -PSD_TOL, lo
@@ -404,5 +405,6 @@ def dsep_upper(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleRes
     capped, the value is the exact distance to the returned explicit
     ensemble, hence always a valid upper bound.
     """
+    require_type(rho, DensityMatrix, "state")
     # min keeps the first of equal values: the earliest restart wins a tie
     return min(_run_restarts(rho, cfg or OracleConfig()), key=lambda res: res.dsep_upper)

@@ -24,9 +24,9 @@ from .errors import DimensionMismatch, InvariantViolation
 from .generators import GeneratorSet, swap_operator
 from .linalg import (
     UNIT_NORM_TOL, Checked, as_array, as_integer, as_real, bipartite_operator, frobenius_inner, partial_trace,
-    read_only, require
+    read_only, require, require_type
 )
-from .measures import bounds_from_dsep
+from .measures import MeasureBounds
 from .states import DensityMatrix
 
 
@@ -60,26 +60,28 @@ class WitnessNormalization:
 class BoundCertificate:
     """A certified lower bound on the Frobenius distance to the separable set.
 
-    The measure bounds are derived from ``dsep_lower`` by ``bounds_from_dsep``,
-    which refuses a distance outside [0, 1): no state is that far from the
-    separable set, so such a value means ``W`` was not a witness.  The
-    witness value and the radius must be finite floats.
+    Built from the witness value wv = Tr(W rho) and the radius b alone, finite
+    floats with b > 0 (``radius:``); the rest is derived: ``certified`` is
+    wv < 0, ``dsep_lower`` is max(0, -wv/b), and the measure bounds come from
+    ``MeasureBounds``, which refuses a distance outside [0, 1): no state is that
+    far from the separable set, so such a value means ``W`` was not a witness.
     """
 
     witness_value: float
     b_used: float
-    dsep_lower: float
-    certified: bool
+    dsep_lower: float = field(init=False)
+    certified: bool = field(init=False)
     concurrence_lower: float = field(init=False)
     eof_lower: float = field(init=False)       # bits
     geometric_lower: float = field(init=False)  # heuristic, see ``bounds_from_dsep``
 
     def __post_init__(self):
-        object.__setattr__(self, "witness_value", as_real(self.witness_value, "witness value"))
-        object.__setattr__(self, "b_used", as_real(self.b_used, "radius"))
-        bounds = bounds_from_dsep(self.dsep_lower)
-        for name in ("concurrence_lower", "eof_lower", "geometric_lower"):
-            object.__setattr__(self, name, getattr(bounds, name))
+        wv, b = as_real(self.witness_value, "witness value"), as_real(self.b_used, "radius")
+        if not b > 0.0:
+            raise InvariantViolation(f"radius: must be positive, got {b!r}")
+        bounds = MeasureBounds(max(0.0, -wv / b))
+        for name, value in {"witness_value": wv, "b_used": b, "certified": wv < 0.0, **bounds.to_json()}.items():
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         # the keys and values of dataclasses.asdict, without its recursive deep copy
@@ -121,6 +123,8 @@ def generic_bound(
     ``b_override`` larger than the true radius yields a valid, weaker
     bound; smaller overrides are rejected.
     """
+    require_type(w, Witness, "witness")
+    require_type(rho, DensityMatrix, "state")
     if rho.dims != w.dims:
         raise DimensionMismatch(f"dims: witness {w.dims} vs state {rho.dims}")
     b_true = normalize_witness(w).b
@@ -132,13 +136,7 @@ def generic_bound(
         require(b_true - b_used, 1e-12 * b_true, what)
     value = frobenius_inner(w.mat, rho.mat)
     require(abs(value.imag), 1e-9, "hermiticity: |Im Tr(W rho)|")
-    wv = value.real
-    return BoundCertificate(
-        witness_value=wv,
-        b_used=b_used,
-        dsep_lower=max(0.0, -wv / b_used),
-        certified=wv < 0.0,
-    )
+    return BoundCertificate(witness_value=value.real, b_used=b_used)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +170,17 @@ class MubFamily(Checked):
         return self.bases.shape[1]
 
 
+def _mub_arguments(d: int, count: int) -> tuple[int, int]:
+    """``d`` and ``count`` as ``mub_family`` takes them: ``d`` prime and 2 <= ``count`` <= d + 1."""
+    d = as_integer(d, "dimension", 2)
+    if any(d % f == 0 for f in range(2, math.isqrt(d) + 1)):
+        raise InvariantViolation(f"primality: d must be prime, got {d}")
+    count = as_integer(count, "count", 2)
+    if count > d + 1:
+        raise InvariantViolation(f"count: need 2 <= L <= d+1 = {d + 1}, got {count}")
+    return d, count
+
+
 def mub_family(d: int, count: int) -> MubFamily:
     """``count`` mutually unbiased bases of C^d for prime ``d``.
 
@@ -179,12 +188,7 @@ def mub_family(d: int, count: int) -> MubFamily:
     d = 2 the x and y eigenbases are used (the quadratic construction
     degenerates there).
     """
-    d = as_integer(d, "dimension", 2)
-    if any(d % f == 0 for f in range(2, math.isqrt(d) + 1)):
-        raise InvariantViolation(f"primality: d must be prime, got {d}")
-    count = as_integer(count, "count", 2)
-    if count > d + 1:
-        raise InvariantViolation(f"count: need 2 <= L <= d+1 = {d + 1}, got {count}")
+    d, count = _mub_arguments(d, count)
     if d == 2:
         s = 1 / np.sqrt(2)
         bases = np.array([np.eye(2), [[s, s], [s, -s]], [[s, s], [1j * s, -1j * s]]], dtype=np.complex128)[:count]
@@ -279,6 +283,7 @@ def spin_witness(rho: DensityMatrix, gens: GeneratorSet | None = None) -> Witnes
         W = (4 - 8/d + Tr(M^2)/2) I + 4F - 2(M (x) I + I (x) M),
         M = sum_k m_k g_k = 2(X - Tr X I/d) = 2X - (4/d) I.
     """
+    require_type(rho, DensityMatrix, "state")
     d = as_integer(rho.dims[0], "dimension", 2) if gens is None else gens.d
     if rho.dims != (d, d):
         raise DimensionMismatch(f"dims: the variance witness needs dims ({d}, {d}), got {rho.dims}")

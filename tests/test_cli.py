@@ -284,14 +284,14 @@ def test_undecodable_file_is_parse_error(tmp_path):
 
 def test_unwritable_out_is_an_input_error(tmp_path, paper_files, capsys):
     state, _ = paper_files
-    out = str(tmp_path / "missing" / "x.json")
-    for argv in (["fixtures", "--name", "singlet"], ["twirl", "--state", str(state)],
-                 ["mub-witness", "--d", "2", "--L", "3"]):
-        assert main([*argv, "--out", out]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"entcert: error: output: cannot write {out}: ")
-        assert "Traceback" not in captured.err
+    for out in (str(tmp_path / "missing" / "x.json"), ""):
+        for argv in (["fixtures", "--name", "singlet"], ["twirl", "--state", str(state)],
+                     ["mub-witness", "--d", "2", "--L", "3"]):
+            assert main([*argv, "--out", out]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"entcert: error: output: cannot write {out}: ")
+            assert "Traceback" not in captured.err
 
 
 def test_deeply_nested_file_is_parse_error(tmp_path, capsys):
@@ -475,6 +475,25 @@ def test_main_builds_each_witness_once(paper_files, monkeypatch, capsys):
     _witness_from_text.cache_clear()
     assert stdout_of("--witness-file", str(witness)) == stdout_of("--witness-file", str(witness))
     assert witnesses == ["Witness"]  # the file's text is parsed and validated once
+
+
+def test_mub_bound_checks_the_state_dims_before_building_the_witness(tmp_path, monkeypatch, capsys):
+    state = tmp_path / "mixed.json"
+    save_state(DensityMatrix(dims=(2, 2), mat=np.eye(4) / 4), state)
+
+    def fail(*args):
+        raise AssertionError(f"mub_family{args} was called")
+
+    monkeypatch.setattr(cli, "mub_family", fail)
+    cached = cli._basis_witness.cache_info().currsize
+    # the 2809 x 2809 witness of d = 53 is not built: the state's dims are compared first
+    assert main(["bound", "--mub", "53", "2", "--state", str(state), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "entcert: error: dims: witness (53, 53) vs state (2, 2)\n")
+    assert cli._basis_witness.cache_info().currsize == cached
+    # a basis count or a dimension that mub_family refuses is still named first
+    assert main(["bound", "--mub", "53", "55", "--state", str(state), "--quiet"]) == 1
+    assert capsys.readouterr().err == "entcert: error: count: need 2 <= L <= d+1 = 54, got 55\n"
 
 
 def test_console_script_runs_in_process(capsys):

@@ -19,6 +19,7 @@ from entcert import (
     bell_state,
     bounds_from_dsep,
     diagonal_twirl_matrix,
+    dsep_upper,
     fixture,
     frobenius_inner,
     frobenius_norm,
@@ -31,7 +32,10 @@ from entcert import (
     mub_family,
     partial_trace,
     partial_transpose,
+    ppt_check,
+    spin_bound,
     spin_radius_bound,
+    spin_witness,
     svd,
     verify_generator_identities,
 )
@@ -460,12 +464,8 @@ REAL_ARGUMENTS = {
     "OracleConfig.convergence_tol": ("convergence_tol", 1e-8, lambda v: OracleConfig(convergence_tol=v)),
     "generic_bound.b_override": ("radius", 10.0, lambda v: generic_bound(PAPER_WITNESS, PAPER_STATE, b_override=v)),
     "bounds_from_dsep": ("range", 0.5, bounds_from_dsep),
-    "BoundCertificate.witness_value": (
-        "witness value", -0.1, lambda v: BoundCertificate(witness_value=v, b_used=1.0, dsep_lower=0.1, certified=True)
-    ),
-    "BoundCertificate.b_used": (
-        "radius", 1.0, lambda v: BoundCertificate(witness_value=-0.1, b_used=v, dsep_lower=0.1, certified=True)
-    ),
+    "BoundCertificate.witness_value": ("witness value", -0.1, lambda v: BoundCertificate(witness_value=v, b_used=1.0)),
+    "BoundCertificate.b_used": ("radius", 1.0, lambda v: BoundCertificate(witness_value=-0.1, b_used=v)),
 }
 
 # each stands in for the valid value; None is refused everywhere but as b_override, where it selects the radius
@@ -497,3 +497,23 @@ def test_real_arguments_take_numpy_floats(entry):
     # the result is the one for a Python float, down to the type of every stored number
     _, valid, call = REAL_ARGUMENTS[entry]
     assert pickle.dumps(call(np.float64(valid))) == pickle.dumps(call(valid))
+
+
+# a witness where a state goes, or the reverse: the two types have the same fields, and only their class tells them apart
+WANTS_WITNESS, WANTS_STATE = "witness must be a Witness, got DensityMatrix", "state must be a DensityMatrix, got Witness"
+SWAPPED_CALLS = {
+    "generic_bound": (lambda: generic_bound(PAPER_STATE, PAPER_WITNESS), WANTS_WITNESS),
+    "generic_bound.state": (lambda: generic_bound(PAPER_WITNESS, PAPER_WITNESS), WANTS_STATE),
+    "mub_bound": (lambda: mub_bound(PAPER_STATE, 4, PAPER_WITNESS), WANTS_WITNESS),
+    "spin_witness": (lambda: spin_witness(PAPER_WITNESS), WANTS_STATE),
+    "spin_bound": (lambda: spin_bound(PAPER_WITNESS), WANTS_STATE),
+    "ppt_check": (lambda: ppt_check(PAPER_WITNESS), WANTS_STATE),
+    "dsep_upper": (lambda: dsep_upper(PAPER_WITNESS, OracleConfig(restarts=1, max_iters=5)), WANTS_STATE),
+}
+
+
+@pytest.mark.parametrize("entry", SWAPPED_CALLS)
+def test_a_witness_and_a_state_are_not_interchangeable(entry):
+    call, message = SWAPPED_CALLS[entry]
+    with pytest.raises(InvariantViolation, match=f"^type: {message}$"):
+        call()

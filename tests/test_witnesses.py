@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from entcert import (
+    BoundCertificate,
     DensityMatrix,
     DimensionMismatch,
     GeneratorSet,
     InvariantViolation,
+    MeasureBounds,
     MubFamily,
     RotationSet,
     Witness,
@@ -161,6 +163,36 @@ def test_generic_bound_refuses_an_impossible_distance():
     ket01 = DensityMatrix(dims=(2, 2), mat=np.diag([0.0, 1.0, 0.0, 0.0]))
     with pytest.raises(InvariantViolation, match=r"^range: distance bound must lie in \[0, 1\), got 5.5$"):
         generic_bound(w, ket01)
+
+
+def test_certificates_are_built_from_their_inputs_alone():
+    assert [f.name for f in dataclasses.fields(BoundCertificate) if f.init] == ["witness_value", "b_used"]
+    assert [f.name for f in dataclasses.fields(MeasureBounds) if f.init] == ["dsep_lower"]
+    for derived in ({"dsep_lower": 0.9}, {"certified": True}):
+        with pytest.raises(TypeError):
+            BoundCertificate(witness_value=0.5, b_used=1.0, **derived)
+
+
+def test_certificate_derives_the_distance_from_the_witness_value_and_radius():
+    rng = np.random.default_rng(11)
+    for wv, b in zip(rng.normal(0.0, 1.0, 500) * 10.0 ** rng.integers(-12, 4, 500), 10.0 ** rng.uniform(-6, 6, 500)):
+        wv, b = float(wv), float(b)
+        dsep = max(0.0, -wv / b)
+        if dsep >= 1.0:
+            with pytest.raises(InvariantViolation, match=r"^range: "):
+                BoundCertificate(witness_value=wv, b_used=b)
+            continue
+        cert = BoundCertificate(witness_value=wv, b_used=b)
+        assert cert.certified is (wv < 0.0)
+        assert cert.dsep_lower.hex() == dsep.hex()
+        expected = {"witness_value": wv, "b_used": b, "certified": wv < 0.0, **bounds_from_dsep(dsep).to_json()}
+        assert cert.to_json() == expected
+
+
+@pytest.mark.parametrize("b", [0.0, -0.0, -1e-300, -1.0])
+def test_certificate_refuses_a_radius_that_is_not_positive(b):
+    with pytest.raises(InvariantViolation, match=r"^radius: must be positive, got "):
+        BoundCertificate(witness_value=-0.1, b_used=b)
 
 
 def test_mub_family_qubit():
